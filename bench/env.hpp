@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "obs/env.hpp"
+#include "sim/shard.hpp"
 
 namespace aio::bench {
 
@@ -108,26 +109,32 @@ inline std::size_t max_shards() {
   return m;
 }
 
-/// Domain-grid override from `AIO_SIM_DOMAINS`: a positive integer, or 0
-/// (the default) for the built-in plan (min(32, n_osts)).  Same strictness
-/// as env_size: malformed values are rejected with a one-line stderr
-/// warning and the default plan is used.
-inline std::size_t sim_domains() {
-  const char* v = std::getenv("AIO_SIM_DOMAINS");
-  if (!v || !*v) return 0;
-  static bool warned = false;
+/// Positive integer from `name`; `fallback` when unset.  A malformed value
+/// (trailing junk, overflow, non-positive) is rejected with a one-line
+/// stderr warning — once per process, tracked by the caller's `warned`
+/// flag — and `fallback` is used.
+inline std::size_t positive_size_warn_once(const char* name, std::size_t fallback,
+                                           bool& warned) {
+  const char* v = std::getenv(name);
+  if (!v || !*v) return fallback;
   char* end = nullptr;
   errno = 0;
   const long parsed = std::strtol(v, &end, 10);
   if (errno != 0 || end == v || *end != '\0' || parsed <= 0) {
     if (!warned) {
       warned = true;
-      std::fprintf(stderr, "bench: ignoring AIO_SIM_DOMAINS=\"%s\" (want a positive integer)\n",
-                   v);
+      std::fprintf(stderr, "bench: ignoring %s=\"%s\" (want a positive integer)\n", name, v);
     }
-    return 0;
+    return fallback;
   }
   return static_cast<std::size_t>(parsed);
+}
+
+/// Domain-grid override from `AIO_SIM_DOMAINS`: a positive integer, or 0
+/// (the default) for the built-in plan (min(32, n_osts)).
+inline std::size_t sim_domains() {
+  static bool warned = false;
+  return positive_size_warn_once("AIO_SIM_DOMAINS", 0, warned);
 }
 
 /// Announces (once per process, stderr only) when the requested domain
@@ -146,61 +153,16 @@ inline void warn_domains_exceed_osts(std::size_t domains, std::size_t n_osts) {
 
 /// Metadata-server count from `AIO_MDS_COUNT`: a positive integer, 1 (the
 /// single-server model, byte-identical to pre-tier builds) when unset.
-/// Same strictness as AIO_SIM_DOMAINS: malformed values are rejected with a
-/// one-line stderr warning (once per process) and the default is used.
 inline std::size_t mds_count() {
-  const char* v = std::getenv("AIO_MDS_COUNT");
-  if (!v || !*v) return 1;
   static bool warned = false;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0' || parsed <= 0) {
-    if (!warned) {
-      warned = true;
-      std::fprintf(stderr, "bench: ignoring AIO_MDS_COUNT=\"%s\" (want a positive integer)\n",
-                   v);
-    }
-    return 1;
-  }
-  return static_cast<std::size_t>(parsed);
+  return positive_size_warn_once("AIO_MDS_COUNT", 1, warned);
 }
 
-/// Client-side metadata batch size from `AIO_MDS_BATCH`: a non-negative
-/// integer; 0 (the default) keeps the legacy one-request-per-file path.
+/// Batched-mode create span from `AIO_MDS_BATCH`: a positive integer
+/// (default 64); 0 is malformed like any other non-positive value.
 inline std::size_t mds_batch() {
-  const char* v = std::getenv("AIO_MDS_BATCH");
-  if (!v || !*v) return 0;
   static bool warned = false;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0' || parsed < 0) {
-    if (!warned) {
-      warned = true;
-      std::fprintf(stderr,
-                   "bench: ignoring AIO_MDS_BATCH=\"%s\" (want a non-negative integer; "
-                   "0 disables batching)\n",
-                   v);
-    }
-    return 0;
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-/// Hot-directory absorption proxy toggle from `AIO_MDS_PROXY`: 0 (default)
-/// or 1.  Anything else is rejected with a one-line stderr warning.
-inline bool mds_proxy() {
-  const char* v = std::getenv("AIO_MDS_PROXY");
-  if (!v || !*v) return false;
-  if (v[0] == '0' && v[1] == '\0') return false;
-  if (v[0] == '1' && v[1] == '\0') return true;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr, "bench: ignoring AIO_MDS_PROXY=\"%s\" (want 0 or 1)\n", v);
-  }
-  return false;
+  return positive_size_warn_once("AIO_MDS_BATCH", 64, warned);
 }
 
 /// Shard-runtime profiler arming from `AIO_PROF` (obs/prof.hpp):
@@ -266,38 +228,29 @@ inline ProfEnv prof_env() {
   return pe;
 }
 
-/// Window-batch policy from `AIO_SIM_WINDOW_BATCH`: either a fixed
-/// multiplier (>= 1, possibly fractional) or the literal `auto`, which asks
-/// the bench to hill-climb the value across samples under wall-clock
-/// feedback (perf mode — rejected by determinism-mode rigs).
-struct WindowBatch {
-  double value = 64.0;     ///< fixed multiplier (ignored when auto_tune)
-  bool auto_tune = false;  ///< AIO_SIM_WINDOW_BATCH=auto
-};
-inline WindowBatch window_batch() {
-  WindowBatch wb;
+/// Window multiplier from `AIO_SIM_WINDOW_BATCH`: a number in
+/// [1, sim::ShardGroup::kMaxWindowBatch], possibly fractional.  Unset means
+/// the default 64; anything else is rejected with a one-line stderr warning
+/// (once per process) and the default is used.
+inline double window_batch() {
+  constexpr double kDefault = 64.0;
   const char* v = std::getenv("AIO_SIM_WINDOW_BATCH");
-  if (!v || !*v) return wb;
-  if (v[0] == 'a' && v[1] == 'u' && v[2] == 't' && v[3] == 'o' && v[4] == '\0') {
-    wb.auto_tune = true;
-    return wb;
-  }
+  if (!v || !*v) return kDefault;
   static bool warned = false;
   char* end = nullptr;
   errno = 0;
   const double parsed = std::strtod(v, &end);
-  if (errno != 0 || end == v || *end != '\0' || !(parsed >= 1.0)) {
+  if (errno != 0 || end == v || *end != '\0' ||
+      !(parsed >= 1.0 && parsed <= sim::ShardGroup::kMaxWindowBatch)) {
     if (!warned) {
       warned = true;
       std::fprintf(stderr,
-                   "bench: ignoring AIO_SIM_WINDOW_BATCH=\"%s\" (want a number >= 1 or "
-                   "\"auto\")\n",
+                   "bench: ignoring AIO_SIM_WINDOW_BATCH=\"%s\" (want a number in [1, 1e6])\n",
                    v);
     }
-    return wb;
+    return kDefault;
   }
-  wb.value = parsed;
-  return wb;
+  return parsed;
 }
 
 }  // namespace aio::bench

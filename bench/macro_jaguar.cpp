@@ -21,10 +21,8 @@
 // and the JSON rows carry a "shards" value plus window-loop telemetry
 // (window_batch, windows_executed, windows_skipped, barrier_rounds).
 // `AIO_SIM_DOMAINS` overrides the domain grid and `AIO_SIM_WINDOW_BATCH`
-// the window multiplier — a number keeps determinism mode, the literal
-// `auto` switches the sharded rows to perf mode and hill-climbs the
-// multiplier across samples (bench/tuner.hpp).  Unset, the bench's stdout
-// is byte-identical to a build without sharding.
+// the window multiplier.  Unset, the bench's stdout is byte-identical to a
+// build without sharding.
 //
 // `AIO_PROF` (bench/env.hpp) arms the shard-runtime profiler on the sharded
 // rows: a one-line stderr host-time split per sweep point, prof_* values in
@@ -47,7 +45,6 @@
 
 #include "core/transports/sharded.hpp"
 #include "harness.hpp"
-#include "tuner.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -182,7 +179,7 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
 /// tools/aio_report reads sharded and classic runs out of one file.
 RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConfig& model,
                         std::size_t procs, std::size_t n_shards, std::size_t n_domains,
-                        double window_batch, bool auto_mode, obs::Journal* journal,
+                        double window_batch, obs::Journal* journal,
                         obs::prof::ShardProfiler* prof) {
   const std::uint64_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
@@ -196,8 +193,6 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   cfg.collect_journal = journal != nullptr;
   cfg.n_domains = n_domains;
   cfg.window_batch = window_batch;
-  cfg.deterministic = !auto_mode;
-  cfg.window_batch_auto = auto_mode;
   cfg.profiler = prof;  // re-bound (and zeroed) per sample by set_profiler
   core::ShardedAdaptiveSim sim(cfg);
   const core::IoResult result = sim.run(workload::pixie3d_job(model, procs));
@@ -245,7 +240,7 @@ int main() {
   const std::size_t max_procs = bench::max_procs_or(224160);
   const std::vector<std::size_t> shard_sweep = bench::shard_sweep();
   const std::size_t sim_domains = bench::sim_domains();
-  const bench::WindowBatch wb = bench::window_batch();
+  const double window_batch = bench::window_batch();
   bench::warn_unreached_max_procs(max_procs, {16384, 65536, 224160});
   bench::banner("macro_jaguar",
                 "paper-scale weak scaling: simulator cost up to the full 224,160-core Jaguar",
@@ -342,19 +337,13 @@ int main() {
       if (!adaptive && !mpiio_feasible) continue;
       if (adaptive && !shard_sweep.empty()) {
         // Sharded sweep: each requested shard count is its own sweep point.
-        // In perf mode (AIO_SIM_WINDOW_BATCH=auto) each sweep point gets its
-        // own hill climb — the optimum shifts with both scale and shard
-        // count, so tuner state must not leak between points.
         for (const std::size_t n_shards : shard_sweep) {
           stats::Summary wall;
           RunCost last;
-          bench::WindowBatchTuner tuner(wb.value);
           for (std::size_t s = 0; s < samples; ++s) {
-            const double batch = wb.auto_tune ? tuner.next() : wb.value;
-            last = run_one_sharded(spec, model, procs, n_shards, sim_domains, batch,
-                                   wb.auto_tune, journal.get(), prof.get());
+            last = run_one_sharded(spec, model, procs, n_shards, sim_domains, window_batch,
+                                   journal.get(), prof.get());
             wall.add(last.wall_s);
-            if (wb.auto_tune) tuner.feedback(last.wall_s);
           }
           emit(procs, "adaptive", n_shards, wall, last);
           if (prof) {

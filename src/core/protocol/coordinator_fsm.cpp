@@ -120,18 +120,6 @@ void CoordinatorFsm::request_adaptive(GroupId target, Actions& out) {
         best_remaining = remaining;
       }
     }
-  } else if (config_.steal_source == StealSource::Straggler && config_.straggler_score_of) {
-    // Prefer the group whose storage target currently scores worst on the
-    // live telemetry plane — steal from where the queue drains slowest.
-    // Ascending first-maximal iteration keeps the pick deterministic.
-    double best_score = 0.0;
-    for (std::size_t g = next_writing(0); g < config_.n_groups; g = next_writing(g + 1)) {
-      const double score = config_.straggler_score_of(static_cast<GroupId>(g));
-      if (chosen == config_.n_groups || score > best_score) {
-        chosen = g;
-        best_score = score;
-      }
-    }
   } else {
     // Round-robin over still-writing SCs spreads the accelerated completion
     // rather than draining one SC at a time (the paper's choice).  First

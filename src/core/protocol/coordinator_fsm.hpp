@@ -37,8 +37,6 @@ class CoordinatorFsm {
   enum class StealSource : std::uint8_t {
     RoundRobin,     ///< the paper's "spread evenly among the sub coordinators"
     MostRemaining,  ///< prefer the group with the most unredirected writers
-    Straggler,      ///< prefer the group whose storage target scores worst
-                    ///< (live-telemetry feedback; needs straggler_score_of)
   };
 
   struct Config {
@@ -47,10 +45,6 @@ class CoordinatorFsm {
     /// per-coordinator copy.  Must be valid for 0 <= g < n_groups.
     std::function<std::size_t(GroupId)> group_size_of;
     std::function<Rank(GroupId)> sc_of;
-    /// Straggler score of a group's storage target, resolved at grant time
-    /// (the transport binds this to the live plane).  StealSource::Straggler
-    /// falls back to round-robin when unset.
-    std::function<double(GroupId)> straggler_score_of;
     Rank rank = 0;
     bool stealing_enabled = true;  ///< ablation: disable work redistribution
     StealSource steal_source = StealSource::RoundRobin;

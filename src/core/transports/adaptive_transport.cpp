@@ -202,19 +202,8 @@ void AdaptiveRun::begin(const IoJob& job) {
     cc.sc_of = sc_of;
     cc.rank = Topology::coordinator_rank();
     cc.stealing_enabled = cfg.stealing;
-    cc.steal_source = cfg.steal_straggler && live ? CoordinatorFsm::StealSource::Straggler
-                      : cfg.steal_most_remaining  ? CoordinatorFsm::StealSource::MostRemaining
-                                                  : CoordinatorFsm::StealSource::RoundRobin;
-    if (cc.steal_source == CoordinatorFsm::StealSource::Straggler) {
-      // Close the observability loop: rank steal sources by the live
-      // straggler score of the OST each group's file is pinned to.
-      cc.straggler_score_of = [this](GroupId grp) {
-        const auto file = static_cast<std::size_t>(grp);
-        const std::size_t ost = cfg.targets.empty() ? (cfg.first_ost + file) % fs.n_osts()
-                                                    : cfg.targets[file] % fs.n_osts();
-        return live->straggler_score(static_cast<std::uint32_t>(ost));
-      };
-    }
+    cc.steal_source = cfg.steal_most_remaining ? CoordinatorFsm::StealSource::MostRemaining
+                                               : CoordinatorFsm::StealSource::RoundRobin;
     cc.retain_global_index = cfg.retain_global_index;
     coord.emplace(std::move(cc));
   }
@@ -223,7 +212,7 @@ void AdaptiveRun::begin(const IoJob& job) {
   files.resize(g, nullptr);
   auto ost_of_file = [this](std::size_t file) {
     if (!cfg.targets.empty()) return cfg.targets[file] % fs.n_osts();
-    return (cfg.first_ost + file) % fs.n_osts();
+    return file % fs.n_osts();
   };
   if (observing()) {
     journal_run = journal ? journal->begin_run() : 0;
@@ -256,7 +245,7 @@ void AdaptiveRun::begin(const IoJob& job) {
   if (cfg.open_mode == OpenMode::Skip) {
     for (std::size_t f = 0; f < g; ++f)
       files[f] = &fs.open_immediate(base + "." + std::to_string(f), 1, ost_of_file(f));
-    master = &fs.open_immediate(base + ".midx", 1, cfg.first_ost % fs.n_osts());
+    master = &fs.open_immediate(base + ".midx", 1, 0);
     result.t_open_done = fs.engine().now();
     start_protocol();
     return;
@@ -264,51 +253,6 @@ void AdaptiveRun::begin(const IoJob& job) {
   opens_remaining = g + 1;
   auto self = shared_from_this();
   const double gap = cfg.open_mode == OpenMode::Staggered ? cfg.stagger_gap_s : 0.0;
-  if (cfg.open_batch > 0) {
-    // Batched client path: the files themselves are bookkeeping (created
-    // immediately); the metadata traffic is one batched OPEN per chunk of
-    // `open_batch` files per server, walked in global file order so that
-    // open_batch == 1 reproduces the per-file path's submission sequence
-    // request-for-request.  Staggered mode launches each chunk at the gap
-    // slot of its first file.
-    for (std::size_t f = 0; f <= g; ++f) {
-      const std::string path = f == g ? base + ".midx" : base + "." + std::to_string(f);
-      const std::size_t ost = f == g ? cfg.first_ost % fs.n_osts() : ost_of_file(f);
-      fs::StripedFile& file = fs.open_immediate(path, 1, ost);
-      if (f == g) {
-        master = &file;
-      } else {
-        files[f] = &file;
-      }
-    }
-    fs::MdsGroup& tier = fs.mds_group();
-    std::vector<std::size_t> chunk_items(tier.count(), 0);
-    std::vector<std::size_t> chunk_first(tier.count(), 0);  // global file index
-    auto flush_chunk = [&](std::size_t m) {
-      if (chunk_items[m] == 0) return;
-      const std::size_t k = chunk_items[m];
-      chunk_items[m] = 0;
-      fs.engine().schedule_after(
-          gap * static_cast<double>(chunk_first[m]), [self, m, k] {
-            self->fs.mds_group().submit_batch(
-                m, fs::MetadataServer::OpKind::Open, k, [self, k](sim::Time) {
-                  self->opens_remaining -= k;
-                  if (self->opens_remaining == 0) {
-                    self->result.t_open_done = self->fs.engine().now();
-                    self->start_protocol();
-                  }
-                });
-          });
-    };
-    for (std::size_t f = 0; f <= g; ++f) {
-      fs::StripedFile& file = f == g ? *master : *files[f];
-      const std::size_t m = tier.index_of(file.path());
-      if (chunk_items[m] == 0) chunk_first[m] = f;
-      if (++chunk_items[m] >= cfg.open_batch) flush_chunk(m);
-    }
-    for (std::size_t m = 0; m < tier.count(); ++m) flush_chunk(m);
-    return;
-  }
   auto opened = [self](std::size_t slot, fs::StripedFile& file) {
     if (slot == self->topo.n_groups()) {
       self->master = &file;
@@ -322,7 +266,7 @@ void AdaptiveRun::begin(const IoJob& job) {
   };
   for (std::size_t f = 0; f <= g; ++f) {
     const std::string path = f == g ? base + ".midx" : base + "." + std::to_string(f);
-    const std::size_t ost = f == g ? cfg.first_ost % fs.n_osts() : ost_of_file(f);
+    const std::size_t ost = f == g ? 0 : ost_of_file(f);
     fs.engine().schedule_after(gap * static_cast<double>(f), [self, path, ost, f, opened] {
       self->fs.open(path, 1, ost,
                     [f, opened](fs::StripedFile& file, sim::Time) { opened(f, file); });
@@ -613,10 +557,6 @@ void AdaptiveRun::all_roles_done() {
   result.output_files = files;
   result.master_file = master;
 
-  if (!cfg.close_via_mds) {
-    finish(eng().now());
-    return;
-  }
   auto self = shared_from_this();
   closes_remaining = files.size() + 1;
   auto closed = [self](sim::Time now) {
@@ -631,28 +571,6 @@ void AdaptiveRun::all_roles_done() {
         shards->key_of_rank(static_cast<std::size_t>(Topology::coordinator_rank()));
     for (fs::StripedFile* file : files) fs.close_from(ckey, *file, closed);
     fs.close_from(ckey, *master, closed);
-    return;
-  }
-  if (cfg.open_batch > 0) {
-    // Mirror the batched opens: one batched CLOSE per chunk of `open_batch`
-    // files per server, in global file order.
-    fs::MdsGroup& tier = fs.mds_group();
-    std::vector<std::size_t> chunk_items(tier.count(), 0);
-    auto flush_chunk = [&](std::size_t m) {
-      if (chunk_items[m] == 0) return;
-      const std::size_t k = chunk_items[m];
-      chunk_items[m] = 0;
-      tier.submit_batch(m, fs::MetadataServer::OpKind::Close, k, [self, k](sim::Time now) {
-        self->closes_remaining -= k;
-        if (self->closes_remaining == 0) self->finish(now);
-      });
-    };
-    for (std::size_t f = 0; f <= files.size(); ++f) {
-      fs::StripedFile& file = f == files.size() ? *master : *files[f];
-      const std::size_t m = tier.index_of(file.path());
-      if (++chunk_items[m] >= cfg.open_batch) flush_chunk(m);
-    }
-    for (std::size_t m = 0; m < tier.count(); ++m) flush_chunk(m);
     return;
   }
   for (fs::StripedFile* file : files) fs.close(*file, closed);

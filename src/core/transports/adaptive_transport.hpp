@@ -20,35 +20,20 @@ class AdaptiveTransport final : public Transport {
  public:
   struct Config {
     std::size_t n_files = 0;       ///< output files == SC groups; 0 = one per OST
-    std::size_t first_ost = 0;     ///< file g lands on OST (first_ost + g) % n
     /// Explicit target list (history-aware placement, see target_probe.hpp):
     /// when non-empty, file g lands on OST targets[g] and n_files is
-    /// overridden by its length.
+    /// overridden by its length; otherwise file g lands on OST g % n.
     std::vector<std::size_t> targets;
     std::size_t max_concurrent = 1;  ///< writers in flight per file (paper: 1)
     bool stealing = true;            ///< coordinator work redistribution
     /// Steal-source selection (see CoordinatorFsm::StealSource).
     bool steal_most_remaining = false;
-    /// Pick steal sources by live straggler score instead (takes precedence
-    /// over steal_most_remaining).  Needs a live telemetry plane on the
-    /// engine; without one the coordinator falls back to round-robin.
-    bool steal_straggler = false;
     /// How the per-SC file creates hit the metadata server before the timed
     /// write phase: skipped (paper's measurement protocol), all at once, or
     /// staggered (the paper's open-storm mitigation).
     enum class OpenMode { Skip, Storm, Staggered };
     OpenMode open_mode = OpenMode::Skip;
     double stagger_gap_s = 0.002;
-    /// Client-side metadata batching (classic engines): 0 submits one MDS
-    /// request per file (the legacy path, byte-identical to pre-batching
-    /// builds); B >= 1 groups the per-SC creates into batched requests of up
-    /// to B files per metadata server, amortizing the per-request fixed cost
-    /// (`open_base_s`) across the span.  B == 1 reproduces the per-file
-    /// path's submission sequence request-for-request.  Closes batch the
-    /// same way.  Sharded runs ignore this knob (opens are skipped there and
-    /// closes ride the channel plane per file).
-    std::size_t open_batch = 0;
-    bool close_via_mds = true;
     /// When false, the coordinator streams the global merge (running totals
     /// only) and IoResult::global_index stays null — peak index memory drops
     /// to O(largest sub-index).  Keep true when read-back is needed.

@@ -13,7 +13,7 @@ void MpiioTransport::run(const IoJob& job, std::function<void(IoResult)> on_done
                                   : std::min(config_.stripe_count, fs_.config().stripe_limit);
 
   fs::StripedFile& file =
-      fs_.open_immediate("mpiio-shared", stripes, config_.first_ost, config_.stripe_size);
+      fs_.open_immediate("mpiio-shared", stripes, 0, config_.stripe_size);
 
   struct RunState {
     IoResult result;
@@ -34,11 +34,6 @@ void MpiioTransport::run(const IoJob& job, std::function<void(IoResult)> on_done
     state->result.t_data_done = fs_.engine().now();
     // "an explicit flush is introduced prior to the file close operation".
     file.flush([this, state, &file](sim::Time) {
-      if (!config_.close_via_mds) {
-        state->result.t_complete = fs_.engine().now();
-        state->on_done(state->result);
-        return;
-      }
       fs_.close(file, [state](sim::Time now) {
         state->result.t_complete = now;
         state->on_done(state->result);

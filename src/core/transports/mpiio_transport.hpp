@@ -20,10 +20,8 @@ class MpiioTransport final : public Transport {
  public:
   struct Config {
     std::size_t stripe_count = 0;      ///< 0 = the file system's stripe limit
-    std::size_t first_ost = 0;
     double stripe_size = 0.0;          ///< 0 = file system default
     std::size_t max_segments = 16;     ///< chain bound for wide writes
-    bool close_via_mds = true;
   };
 
   MpiioTransport(fs::FileSystem& fs, Config config) : fs_(fs), config_(config) {}

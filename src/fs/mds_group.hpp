@@ -16,15 +16,9 @@
 //     server's own entity key — so every rank→MDS coupling quantizes at a
 //     window boundary regardless of which shard either side lives on, and
 //     simulated timestamps stay bit-identical at every shard count.
-//
-// `MdsProxy` layers a MIDAS-style absorption proxy on top: creates aimed at
-// one hot directory are absorbed into a leased batch on the client side and
-// flushed as a single batched MDS request when the lease expires (or the
-// batch fills), turning N queue slots into one.  Opt-in, classic-engine only.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -89,57 +83,6 @@ class MdsGroup {
  private:
   sim::ShardGroup* shards_ = nullptr;
   std::vector<std::unique_ptr<MetadataServer>> servers_;
-};
-
-/// Client-side absorption proxy for one hot directory (MIDAS-style).
-///
-/// The first create of an idle proxy acquires a lease — one stat-priced
-/// round trip to the home server — and opens an absorption window of
-/// `lease_s`.  Creates arriving inside the window are absorbed client-side;
-/// when the window closes (or `max_batch` creates have accumulated) the
-/// whole batch flushes as one batched Create request, paying the fixed
-/// per-request cost once.  Completion callbacks fire, in arrival order, when
-/// the batch completes.  Steady state recycles its callback vectors, so a
-/// create storm through the proxy stays off the allocator once warm.
-class MdsProxy {
- public:
-  struct Config {
-    double lease_s = 1e-3;        ///< absorption window after the first create
-    std::size_t max_batch = 4096; ///< flush early when this many accumulate
-  };
-  using OnComplete = MetadataServer::OnComplete;
-
-  /// `home` is the server index owning the hot directory.
-  MdsProxy(MdsGroup& group, std::size_t home, Config config);
-  MdsProxy(const MdsProxy&) = delete;
-  MdsProxy& operator=(const MdsProxy&) = delete;
-
-  /// Absorbs one create into the current leased batch (acquiring a lease
-  /// first if the proxy is idle).
-  void create(OnComplete on_complete);
-
-  [[nodiscard]] std::uint64_t absorbed() const { return absorbed_; }
-  [[nodiscard]] std::uint64_t flushes() const { return flushes_; }
-  [[nodiscard]] std::uint64_t leases() const { return leases_; }
-  [[nodiscard]] const Config& config() const { return config_; }
-
- private:
-  void flush();
-
-  MdsGroup& group_;
-  std::size_t home_;
-  Config config_;
-  sim::Engine& engine_;
-  bool leased_ = false;
-  std::uint64_t gen_ = 0;  // invalidates a lease timer after an early flush
-  std::vector<OnComplete> pending_;
-  // Batches in flight at the server, completion in FIFO submission order;
-  // drained vectors return to the pool for reuse.
-  std::deque<std::vector<OnComplete>> in_flight_;
-  std::vector<std::vector<OnComplete>> pool_;
-  std::uint64_t absorbed_ = 0;
-  std::uint64_t flushes_ = 0;
-  std::uint64_t leases_ = 0;
 };
 
 }  // namespace aio::fs

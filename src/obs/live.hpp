@@ -27,15 +27,14 @@
 // up) run and reused thereafter — keeping the plane inside the hot-path
 // budgets tests/test_alloc_guard enforces.
 //
-// Two consumers close the loop:
+// The plane is a pure consumer: no simulated decision reads it, so a run
+// with it attached is bit-identical to one without.  Its output:
 //   * snapshots: when `AIO_LIVE=<path>` is set, a periodic daemon (armed by
 //     the host next to the metrics sampler) appends one aio-live-v1 JSON
 //     row per tick; `flush()` appends a `"final": true` row carrying the
 //     cumulative attribution in the report's shape.  Rows are fflush()ed as
 //     written, so a crashed run keeps every completed row.
-//   * the coordinator's opt-in Straggler steal policy
-//     (CoordinatorFsm::StealSource::Straggler) reads `straggler_score()`
-//     mid-run to pick steal sources.
+//   * queries: `view()` and `straggler_score()` for hosts and tests.
 //
 // The flight recorder is a bounded ring of the most recent records.  On
 // abort (bench watchdog, Simulation failure path) `dump_flight()` writes the

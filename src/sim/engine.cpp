@@ -1,8 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -11,14 +9,6 @@
 #include "sim/dary_heap.hpp"
 
 namespace aio::sim {
-
-// Debug aid: AIO_ENGINE_TRACE=1 prints a heartbeat every 2^20 events so
-// runaway same-timestamp event storms are visible.  Read once per engine so
-// the dispatch loop tests a plain member instead of a guarded static.
-bool Engine::heartbeat_enabled() {
-  static const bool enabled = std::getenv("AIO_ENGINE_TRACE") != nullptr;
-  return enabled;
-}
 
 EventHandle Engine::schedule(Time t, Callback cb, bool daemon) {
   if (t < now_) throw std::invalid_argument("Engine::schedule: time in the past");
@@ -95,9 +85,6 @@ void Engine::fire(const Node& n) {
   assert(n.time >= now_);
   now_ = n.time;
   ++steps_;
-  if (heartbeat_ && (steps_ & ((1u << 20) - 1)) == 0) {
-    std::fprintf(stderr, "[engine] steps=%zu t=%.9f pending=%zu\n", steps_, now_, pending());
-  }
   Slot& s = slot(n.slot);
   const bool daemon = s.daemon;
   // Move the callback out before releasing: the callback may schedule new

@@ -184,7 +184,6 @@ class Engine {
   void compact();                    // drops cancelled nodes, re-heapifies
   void fire(const Node& n);  // advances the clock to a live node and runs its callback
   bool pop_one();  // fires the next non-cancelled event; false if queue empty
-  static bool heartbeat_enabled();
 
   std::vector<Node> heap_;
   std::vector<Slot> slots_;
@@ -195,7 +194,6 @@ class Engine {
   std::uint32_t next_seq_ = 0;
   std::size_t steps_ = 0;
   std::size_t normal_pending_ = 0;
-  bool heartbeat_ = heartbeat_enabled();
   obs::TraceSink* trace_ = nullptr;
   obs::Registry* metrics_ = nullptr;
   obs::Journal* journal_ = nullptr;

@@ -51,8 +51,8 @@ ShardGroup::ShardGroup(Config config) : cfg_(config) {
   if (cfg_.n_osts == 0) throw std::invalid_argument("ShardGroup: n_osts must be > 0");
   if (cfg_.ranks_per_node == 0) throw std::invalid_argument("ShardGroup: ranks_per_node must be > 0");
   if (!(cfg_.lookahead_s > 0.0)) throw std::invalid_argument("ShardGroup: lookahead must be > 0");
-  if (!(cfg_.window_batch >= 1.0))
-    throw std::invalid_argument("ShardGroup: window_batch must be >= 1");
+  if (!(cfg_.window_batch >= 1.0 && cfg_.window_batch <= kMaxWindowBatch))
+    throw std::invalid_argument("ShardGroup: window_batch must be in [1, 1e6]");
 
   n_domains_ = cfg_.n_domains != 0 ? cfg_.n_domains : std::min(kDefaultDomains, cfg_.n_osts);
   n_domains_ = std::min(n_domains_, cfg_.n_osts);  // an OST span must not be empty

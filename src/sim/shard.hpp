@@ -72,9 +72,9 @@ class ShardGroup {
   struct Config {
     std::size_t n_shards = 1;  ///< requested; clamped to [1, n_domains]
     double lookahead_s = 8e-6; ///< conservative bound: min cross-shard latency
-    /// Window = lookahead * window_batch.  Must be >= 1; larger values
-    /// amortize the per-window barrier over more events at the cost of
-    /// coarser cross-entity timing quantization.
+    /// Window = lookahead * window_batch, in [1, kMaxWindowBatch].  Larger
+    /// values amortize the per-window barrier over more events at the cost
+    /// of coarser cross-entity timing quantization.
     double window_batch = 64.0;
     std::size_t n_domains = 0;  ///< 0 = min(kDefaultDomains, n_osts)
     std::size_t n_ranks = 0;    ///< total protocol ranks (> 0)
@@ -89,6 +89,13 @@ class ShardGroup {
     std::size_t n_mds = 1;
   };
   static constexpr std::size_t kDefaultDomains = 32;
+  /// Largest accepted window_batch.  Messages posted inside a window are
+  /// clamped to its end, so simulated time jumps to window ends; once those
+  /// are so large that one ulp of simulated time exceeds the fluid model's
+  /// step (measured at 8 us lookahead: 1e9 still runs, 1e12 and inf spin
+  /// forever), time stops advancing.  1e6 keeps three decades of margin and
+  /// is already coarser than any collective.
+  static constexpr double kMaxWindowBatch = 1e6;
 
   explicit ShardGroup(Config config);
   ~ShardGroup();

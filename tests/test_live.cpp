@@ -1,8 +1,8 @@
 // Tests for the online telemetry plane (obs/live.hpp): sliding-window
 // roll-over, straggler-score behavior under a loaded OST, bitwise-stable
 // snapshots, exact agreement between the live cumulative attribution and the
-// offline analyzer, steady-state allocation freedom, the straggler steal
-// policy, the flight recorder, and AIO_LIVE/AIO_FLIGHT env parsing.
+// offline analyzer, steady-state allocation freedom, the flight recorder,
+// and AIO_LIVE/AIO_FLIGHT env parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -100,16 +100,15 @@ struct LiveRig {
     return fc;
   }
 
-  explicit LiveRig(obs::LivePlane::Config lc = {}, bool straggler = false)
+  explicit LiveRig(obs::LivePlane::Config lc = {})
       : live(std::move(lc)),
         filesystem(engine, fs_config()),
         network(engine, net::NetConfig{1e-6, 10e9, 8}, 64),
         transport(filesystem, network,
-                  [straggler] {
+                  [] {
                     core::AdaptiveTransport::Config ac;
                     ac.n_files = 2;
                     ac.open_mode = core::AdaptiveTransport::Config::OpenMode::Storm;
-                    ac.steal_straggler = straggler;
                     return ac;
                   }()) {
     filesystem.ost(1).set_load(0.8, 0.8);
@@ -268,7 +267,7 @@ TEST(Live, StragglerScoreMonotoneUnderLoad) {
   }
   EXPECT_GT(prev, light);
 
-  // Unknown OSTs score zero (the Straggler policy treats them as healthy).
+  // Unknown OSTs score zero (healthy).
   EXPECT_EQ(plane.straggler_score(77), 0.0);
 
   // End-to-end: after a simulated run with ost1 loaded, the plane ranks it
@@ -356,21 +355,6 @@ TEST(Live, IngestSteadyStateAllocationFree) {
   g_counting.store(false, std::memory_order_release);
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u);
   EXPECT_EQ(plane.runs_completed(), 2u);
-}
-
-// --- the straggler steal policy ----------------------------------------------
-
-TEST(Live, StragglerStealPolicyStealsAndCompletes) {
-  LiveRig plain;
-  const core::IoResult base = plain.run();
-
-  LiveRig guided({}, /*straggler=*/true);
-  const core::IoResult result = guided.run();
-  EXPECT_GT(result.steals, 0u);
-  EXPECT_EQ(result.total_bytes, base.total_bytes);
-  EXPECT_GT(result.io_seconds(), 0.0);
-  // The live plane priced every completed steal chain.
-  EXPECT_EQ(guided.live.steals().completed, result.steals);
 }
 
 // --- flight recorder ---------------------------------------------------------

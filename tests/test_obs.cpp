@@ -3,6 +3,7 @@
 // OST drain, and the protocol instrumentation agreeing with IoResult.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "net/network.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
+#include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -432,6 +434,79 @@ TEST(ProtocolTrace, StealInstantsMatchIoResult) {
   EXPECT_EQ(reg.counter("protocol.steals").value(), result->steals);
   EXPECT_EQ(reg.counter("protocol.runs").value(), 1u);
   EXPECT_GE(reg.counter("protocol.steal_grants").value(), result->steals);
+}
+
+// --- observers never perturb the simulation ---------------------------------
+
+/// Three collectives on a 4-OST rig (Storm opens, two loaded targets, steals
+/// with a real choice of source) under shifting external load, with every
+/// observer attached or none.
+std::vector<core::IoResult> observed_runs(bool observers) {
+  obs::TraceSink trace({/*path=*/"", obs::kCatAll, /*max_events=*/1u << 20});
+  obs::Registry metrics;
+  obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
+  obs::LivePlane live{obs::LivePlane::Config{}};
+  sim::Engine engine = observers ? sim::Engine{&trace, &metrics, &journal, &live} : sim::Engine{};
+  fs::FsConfig fc;
+  fc.n_osts = 4;
+  fc.fabric_bw = 0.0;
+  fc.stripe_limit = 4;
+  fc.default_stripe_size = 1e6;
+  fc.ost.ingest_bw = 100e6;
+  fc.ost.disk_bw = 10e6;
+  fc.ost.cache_bytes = 50e6;
+  fc.ost.per_stream_cap = 0.0;
+  fc.ost.alpha = 0.0;
+  fc.ost.eff_floor = 0.0;
+  fc.mds.open_base_s = 1e-4;
+  fc.mds.close_base_s = 1e-4;
+  fs::FileSystem filesystem(engine, fc);
+  net::Network network(engine, net::NetConfig{1e-6, 10e9, 8}, 64);
+  core::AdaptiveTransport::Config ac;
+  ac.n_files = 4;
+  ac.open_mode = core::AdaptiveTransport::Config::OpenMode::Storm;
+  core::AdaptiveTransport transport(filesystem, network, ac);
+  std::vector<core::IoResult> out;
+  for (const double load : {0.8, 0.5, 0.9}) {
+    filesystem.ost(1).set_load(load, load);
+    filesystem.ost(3).set_load(load / 2, load / 2);
+    transport.run(core::IoJob::uniform(32, 8e6), [&](core::IoResult r) { out.push_back(r); });
+    engine.run();
+  }
+  if (observers) {
+    EXPECT_GT(journal.records().size(), 0u);
+    EXPECT_EQ(live.runs_completed(), 3u);
+    EXPECT_GT(trace.count('B', "write"), 0u);
+    EXPECT_EQ(metrics.counter("protocol.runs").value(), 3u);
+  }
+  return out;
+}
+
+// No simulated decision reads an observer: a run with journal, live plane,
+// metrics registry and trace sink attached is bit-identical to a bare one.
+TEST(ObserverPurity, ObserversDoNotPerturbTheRun) {
+  const std::vector<core::IoResult> bare = observed_runs(false);
+  const std::vector<core::IoResult> watched = observed_runs(true);
+  ASSERT_EQ(bare.size(), 3u);
+  ASSERT_EQ(watched.size(), bare.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t k = 0; k < bare.size(); ++k) {
+    const core::IoResult& a = bare[k];
+    const core::IoResult& b = watched[k];
+    EXPECT_GT(a.steals, 0u) << "run " << k;
+    EXPECT_EQ(a.steals, b.steals) << "run " << k;
+    EXPECT_EQ(bits(a.t_begin), bits(b.t_begin)) << "run " << k;
+    EXPECT_EQ(bits(a.t_open_done), bits(b.t_open_done)) << "run " << k;
+    EXPECT_EQ(bits(a.t_data_done), bits(b.t_data_done)) << "run " << k;
+    EXPECT_EQ(bits(a.t_complete), bits(b.t_complete)) << "run " << k;
+    ASSERT_EQ(a.writer_times.size(), b.writer_times.size());
+    for (std::size_t w = 0; w < a.writer_times.size(); ++w) {
+      EXPECT_EQ(bits(a.writer_times[w].start), bits(b.writer_times[w].start))
+          << "run " << k << " writer " << w;
+      EXPECT_EQ(bits(a.writer_times[w].end), bits(b.writer_times[w].end))
+          << "run " << k << " writer " << w;
+    }
+  }
 }
 
 }  // namespace

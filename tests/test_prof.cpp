@@ -311,12 +311,15 @@ struct EnvSaver {
   std::optional<std::string> saved_;
 };
 
-// All assertions about the malformed-value warnings live in this one TEST:
-// the parsers warn once per process, so call order matters and a second test
-// would observe silence.
+// All assertions about the bench parsers' malformed-value warnings
+// (AIO_PROF, AIO_PROF_PERIOD_S, AIO_MDS_BATCH, AIO_SIM_WINDOW_BATCH) live in
+// this one TEST: the parsers warn once per process, so call order matters
+// and a second test would observe silence.
 TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
   EnvSaver save_prof("AIO_PROF");
   EnvSaver save_period("AIO_PROF_PERIOD_S");
+  EnvSaver save_batch("AIO_MDS_BATCH");
+  EnvSaver save_window("AIO_SIM_WINDOW_BATCH");
 
   // Unset and "0": off.
   ::unsetenv("AIO_PROF");
@@ -380,6 +383,42 @@ TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
   testing::internal::CaptureStderr();
   EXPECT_DOUBLE_EQ(bench::prof_env().period_s, 0.0);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  // AIO_MDS_BATCH: positive integers only, default 64; 0 is malformed.
+  ::unsetenv("AIO_MDS_BATCH");
+  EXPECT_EQ(bench::mds_batch(), 64u);
+  ::setenv("AIO_MDS_BATCH", "32", 1);
+  EXPECT_EQ(bench::mds_batch(), 32u);
+  ::setenv("AIO_MDS_BATCH", "0", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(bench::mds_batch(), 64u);
+  err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("ignoring AIO_MDS_BATCH=\"0\""), std::string::npos) << err;
+  EXPECT_NE(err.find("want a positive integer"), std::string::npos) << err;
+  ::setenv("AIO_MDS_BATCH", "-4", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(bench::mds_batch(), 64u);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  // AIO_SIM_WINDOW_BATCH: a number in [1, kMaxWindowBatch], default 64.
+  // Huge windows would stall simulated time, so they fall back with a
+  // warning instead of reaching the shard group.
+  ::unsetenv("AIO_SIM_WINDOW_BATCH");
+  EXPECT_DOUBLE_EQ(bench::window_batch(), 64.0);
+  ::setenv("AIO_SIM_WINDOW_BATCH", "2.5", 1);
+  EXPECT_DOUBLE_EQ(bench::window_batch(), 2.5);
+  ::setenv("AIO_SIM_WINDOW_BATCH", "inf", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_DOUBLE_EQ(bench::window_batch(), 64.0);
+  err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("ignoring AIO_SIM_WINDOW_BATCH=\"inf\""), std::string::npos) << err;
+  EXPECT_NE(err.find("want a number in [1, 1e6]"), std::string::npos) << err;
+  for (const char* bad : {"1e12", "auto", "0.5"}) {
+    ::setenv("AIO_SIM_WINDOW_BATCH", bad, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_DOUBLE_EQ(bench::window_batch(), 64.0) << bad;
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "") << bad;
+  }
 }
 
 }  // namespace

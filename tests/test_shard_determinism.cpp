@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -130,22 +131,26 @@ RunOutcome run_at(std::size_t n_shards, std::uint32_t seed) {
 
 // Field-by-field bit-identity between two outcomes (EXPECT_EQ on doubles is
 // exact equality, which is the point).
-void expect_identical(const RunOutcome& base, const RunOutcome& other, const char* what) {
-  EXPECT_EQ(base.result.t_begin, other.result.t_begin) << what;
-  EXPECT_EQ(base.result.t_open_done, other.result.t_open_done) << what;
-  EXPECT_EQ(base.result.t_data_done, other.result.t_data_done) << what;
-  EXPECT_EQ(base.result.t_complete, other.result.t_complete) << what;
-  EXPECT_EQ(base.result.steals, other.result.steals) << what;
-  EXPECT_EQ(base.result.grants_issued, other.result.grants_issued) << what;
-  EXPECT_EQ(base.result.total_blocks_indexed, other.result.total_blocks_indexed) << what;
-  ASSERT_EQ(base.result.writer_times.size(), other.result.writer_times.size()) << what;
+void expect_identical_results(const IoResult& base, const IoResult& other, const char* what) {
+  EXPECT_EQ(base.t_begin, other.t_begin) << what;
+  EXPECT_EQ(base.t_open_done, other.t_open_done) << what;
+  EXPECT_EQ(base.t_data_done, other.t_data_done) << what;
+  EXPECT_EQ(base.t_complete, other.t_complete) << what;
+  EXPECT_EQ(base.steals, other.steals) << what;
+  EXPECT_EQ(base.grants_issued, other.grants_issued) << what;
+  EXPECT_EQ(base.total_blocks_indexed, other.total_blocks_indexed) << what;
+  ASSERT_EQ(base.writer_times.size(), other.writer_times.size()) << what;
   std::uint64_t wt_base = 14695981039346656037ull;
   std::uint64_t wt_other = 14695981039346656037ull;
-  for (std::size_t i = 0; i < base.result.writer_times.size(); ++i) {
-    wt_base = fnv1a(&base.result.writer_times[i], sizeof(aio::core::WriterTiming), wt_base);
-    wt_other = fnv1a(&other.result.writer_times[i], sizeof(aio::core::WriterTiming), wt_other);
+  for (std::size_t i = 0; i < base.writer_times.size(); ++i) {
+    wt_base = fnv1a(&base.writer_times[i], sizeof(aio::core::WriterTiming), wt_base);
+    wt_other = fnv1a(&other.writer_times[i], sizeof(aio::core::WriterTiming), wt_other);
   }
   EXPECT_EQ(wt_base, wt_other) << "writer timing digest diverged: " << what;
+}
+
+void expect_identical(const RunOutcome& base, const RunOutcome& other, const char* what) {
+  expect_identical_results(base.result, other.result, what);
   EXPECT_EQ(base.n_records, other.n_records) << what;
   EXPECT_EQ(base.journal_digest, other.journal_digest) << what;
 }
@@ -318,6 +323,60 @@ TEST(ShardPlan, ShardCountClampsToDomains) {
   EXPECT_EQ(g.n_shards(), 3u);
 }
 
+TEST(ShardPlan, WindowBatchOutsideRangeIsRejected) {
+  // Window ends of 1e12 lookaheads and beyond are so large that one ulp of
+  // simulated time exceeds the fluid model's step: the run would spin
+  // without advancing.  The group refuses them (and non-finite or sub-1
+  // values) at construction.
+  aio::sim::ShardGroup::Config c;
+  c.n_ranks = 16;
+  c.n_osts = 4;
+  for (const double bad : {std::numeric_limits<double>::infinity(), 1e12,
+                           std::numeric_limits<double>::quiet_NaN(), 0.5,
+                           aio::sim::ShardGroup::kMaxWindowBatch * 2.0}) {
+    c.window_batch = bad;
+    EXPECT_THROW(aio::sim::ShardGroup g(c), std::invalid_argument) << bad;
+  }
+  for (const double ok : {1.0, 64.0, aio::sim::ShardGroup::kMaxWindowBatch}) {
+    c.window_batch = ok;
+    EXPECT_NO_THROW(aio::sim::ShardGroup g(c)) << ok;
+  }
+}
+
+TEST(ShardedRun, WindowBatchAtTheCeilingRunsToCompletion) {
+  // The largest accepted window still advances simulated time: the run
+  // drains, conserves every byte, and stays bit-identical across shard
+  // counts.
+  const IoJob job = seeded_job(3);
+  double bytes = 0.0;
+  for (const double b : job.bytes_per_writer) bytes += b;
+  auto at_ceiling = [](std::size_t n_shards) {
+    auto c = rig_config(n_shards);
+    c.window_batch = aio::sim::ShardGroup::kMaxWindowBatch;
+    return c;
+  };
+  const RunOutcome base = run_job(at_ceiling(1), job);
+  EXPECT_GT(base.result.io_seconds(), 0.0);
+  EXPECT_EQ(base.result.writer_times.size(), kWriters);
+  EXPECT_NEAR(base.result.total_bytes, bytes, 1e-6 * bytes);
+  expect_identical(base, run_job(at_ceiling(2), job), "shards=2 at the window ceiling");
+}
+
+TEST(ShardedRun, JournalDoesNotPerturbTheRun) {
+  // Attaching the per-shard journals is pure observation: every simulated
+  // timestamp matches a run without them, bit for bit.
+  for (const std::size_t s : {std::size_t{1}, std::size_t{4}}) {
+    auto bare = rig_config(s);
+    bare.collect_journal = false;
+    const RunOutcome plain = run_job(bare, seeded_job(5));
+    const RunOutcome journaled = run_job(rig_config(s), seeded_job(5));
+    EXPECT_EQ(plain.n_records, 0u);
+    EXPECT_GT(journaled.n_records, 0u);
+    expect_identical_results(plain.result, journaled.result,
+                             (testing::Message() << "shards=" << s).GetString().c_str());
+  }
+}
+
 TEST(ShardedRun, ConvergesToClassicModelAsWindowShrinks) {
   // The sharded timing model quantizes every node- or OST-crossing coupling
   // to window boundaries, so it is *not* byte-identical to the classic
@@ -351,19 +410,6 @@ TEST(ShardedRun, ConvergesToClassicModelAsWindowShrinks) {
       << "sharded model at window_batch=1 drifted >2% from the classic engine";
   EXPECT_LT(std::abs(fine - classic), std::abs(coarse - classic))
       << "shrinking the window did not move the sharded model toward classic";
-}
-
-TEST(ShardedRun, WindowBatchAutoRejectedInDeterminismMode) {
-  // The auto-tuner varies window_batch under wall-clock feedback, which
-  // changes the cross-entity quantization grid between runs — incompatible
-  // with the bit-identity contract.  The config must refuse the combination
-  // at construction, not silently produce host-dependent digests.
-  auto cfg = rig_config(2);
-  cfg.window_batch_auto = true;
-  ASSERT_TRUE(cfg.deterministic);
-  EXPECT_THROW(ShardedAdaptiveSim sim(cfg), std::invalid_argument);
-  cfg.deterministic = false;
-  EXPECT_NO_THROW(ShardedAdaptiveSim sim(cfg));
 }
 
 }  // namespace

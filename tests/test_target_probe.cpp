@@ -81,8 +81,8 @@ TEST(TargetProbe, AdaptiveTransportHonoursExplicitTargets) {
   e.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->output_files.size(), 4u);
-  // All data and indices landed on odd OSTs only (master lands on
-  // first_ost = 0 unless configured; check data targets).
+  // All data and indices landed on odd OSTs only (the master index lands
+  // on OST 0; check data targets).
   for (const std::size_t even : {0u, 2u, 4u, 6u}) {
     if (even == 0) continue;  // OST 0 holds the master index file
     EXPECT_DOUBLE_EQ(filesystem.ost(even).bytes_submitted(), 0.0) << "ost " << even;

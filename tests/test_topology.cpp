@@ -47,10 +47,10 @@ TEST(Topology, InvalidConfigThrows) {
 
 TEST(Topology, OutOfRangeAccessThrows) {
   const Topology t(8, 2);
-  EXPECT_THROW(t.group_of(-1), std::out_of_range);
-  EXPECT_THROW(t.group_of(8), std::out_of_range);
-  EXPECT_THROW(t.group_size(2), std::out_of_range);
-  EXPECT_THROW(t.group_begin(-1), std::out_of_range);
+  EXPECT_THROW((void)t.group_of(-1), std::out_of_range);
+  EXPECT_THROW((void)t.group_of(8), std::out_of_range);
+  EXPECT_THROW((void)t.group_size(2), std::out_of_range);
+  EXPECT_THROW((void)t.group_begin(-1), std::out_of_range);
 }
 
 TEST(Topology, JaguarScale) {

@@ -213,52 +213,17 @@ TEST(AdaptiveTransport, StealingImprovesSlowTargetTime) {
   EXPECT_LT(with, 0.7 * without);
 }
 
-// --- client-side open batching and the metadata tier -------------------------
+// --- the metadata tier ------------------------------------------------------
 
-// A batch of one is not "approximately" the per-file path — it reproduces the
-// legacy submission sequence request for request, so every simulated
-// timestamp (open phase, writer windows, completion) matches exactly.
-TEST(AdaptiveTransport, OpenBatchOfOneIsIdenticalToPerFileOpens) {
-  const IoJob job = IoJob::uniform(16, 2e6);
-  for (const auto mode : {AdaptiveTransport::Config::OpenMode::Storm,
-                          AdaptiveTransport::Config::OpenMode::Staggered}) {
-    Rig a(8);
-    AdaptiveTransport::Config ca = adaptive_cfg();
-    ca.open_mode = mode;
-    AdaptiveTransport ta(a.filesystem, a.network, ca);
-    const IoResult ra = a.run(ta, job);
-
-    Rig b(8);
-    AdaptiveTransport::Config cb = ca;
-    cb.open_batch = 1;
-    AdaptiveTransport tb(b.filesystem, b.network, cb);
-    const IoResult rb = b.run(tb, job);
-
-    EXPECT_EQ(ra.t_open_done, rb.t_open_done);
-    EXPECT_EQ(ra.t_data_done, rb.t_data_done);
-    EXPECT_EQ(ra.t_complete, rb.t_complete);
-    ASSERT_EQ(ra.writer_times.size(), rb.writer_times.size());
-    for (std::size_t i = 0; i < ra.writer_times.size(); ++i) {
-      EXPECT_EQ(ra.writer_times[i].start, rb.writer_times[i].start) << "writer " << i;
-      EXPECT_EQ(ra.writer_times[i].end, rb.writer_times[i].end) << "writer " << i;
-    }
-    // Same metadata traffic, one request at a time.
-    EXPECT_EQ(a.filesystem.mds_group().completed_ops(), b.filesystem.mds_group().completed_ops());
-    EXPECT_EQ(b.filesystem.mds_group().completed_ops(),
-              b.filesystem.mds_group().completed_items());
-  }
-}
-
-TEST(AdaptiveTransport, TierWithBatchingShortensTheOpenPhase) {
+TEST(AdaptiveTransport, TierShortensTheOpenPhase) {
   const IoJob job = IoJob::uniform(32, 1e6);
-  auto open_phase = [&](std::size_t n_mds, std::size_t open_batch) {
+  auto open_phase = [&](std::size_t n_mds) {
     fs::FsConfig fc = test_fs(16);
     fc.n_mds = n_mds;
     fc.mds.queue_penalty = 0.05;  // make the open storm hurt
     Rig rig(fc);
     AdaptiveTransport::Config c = adaptive_cfg(16);
     c.open_mode = AdaptiveTransport::Config::OpenMode::Storm;
-    c.open_batch = open_batch;
     AdaptiveTransport t(rig.filesystem, rig.network, c);
     const IoResult r = rig.run(t, job);
     EXPECT_DOUBLE_EQ(r.total_bytes, 32e6);
@@ -272,8 +237,8 @@ TEST(AdaptiveTransport, TierWithBatchingShortensTheOpenPhase) {
     }
     return r.t_open_done - r.t_begin;
   };
-  const double seed_path = open_phase(1, 0);
-  const double tiered = open_phase(4, 8);
+  const double seed_path = open_phase(1);
+  const double tiered = open_phase(4);
   EXPECT_LT(tiered, seed_path);
 }
 
@@ -301,6 +266,38 @@ TEST(AdaptiveTransport, OpenStormAndStaggerGoThroughMds) {
   // 9 opens + 9 closes in both modes.
   EXPECT_EQ(open_count(AdaptiveTransport::Config::OpenMode::Storm), 18u);
   EXPECT_EQ(open_count(AdaptiveTransport::Config::OpenMode::Staggered), 18u);
+}
+
+TEST(AdaptiveTransport, SkippedOpensStillCloseThroughMds) {
+  // OpenMode::Skip (the paper's measurement protocol) creates the files
+  // untimed, but every close still costs one metadata request per file:
+  // 4 data files + the master index.
+  Rig rig(8);
+  AdaptiveTransport t(rig.filesystem, rig.network, adaptive_cfg(4));
+  const IoResult r = rig.run(t, IoJob::uniform(8, 1e6));
+  EXPECT_EQ(r.t_open_done, r.t_begin);
+  EXPECT_GT(r.t_complete, r.t_data_done);
+  EXPECT_EQ(rig.filesystem.mds().completed_ops(), 5u);
+  EXPECT_EQ(rig.filesystem.mds().completed_items(), 5u);
+}
+
+TEST(AdaptiveTransport, FileLandsOnOstOfItsIndexWithoutTargets) {
+  // No explicit target list: file g sits on OST g, so a 3-file run on an
+  // 8-OST system touches OSTs 0-2 only, stolen writes included.
+  Rig rig(8);
+  rig.filesystem.ost(1).set_load(0.8, 0.8);  // force steals between files
+  AdaptiveTransport t(rig.filesystem, rig.network, adaptive_cfg(3));
+  const IoResult r = rig.run(t, IoJob::uniform(12, 2e6));
+  EXPECT_GT(r.steals, 0u);
+  double used = 0.0;
+  for (std::size_t o = 0; o < 3; ++o) {
+    EXPECT_GT(rig.filesystem.ost(o).bytes_submitted(), 0.0) << "ost " << o;
+    used += rig.filesystem.ost(o).bytes_submitted();
+  }
+  for (std::size_t o = 3; o < 8; ++o)
+    EXPECT_DOUBLE_EQ(rig.filesystem.ost(o).bytes_submitted(), 0.0) << "ost " << o;
+  EXPECT_DOUBLE_EQ(used, rig.filesystem.total_bytes_submitted());
+  EXPECT_GE(used, 24e6);
 }
 
 TEST(AdaptiveTransport, MoreRanksThanNetworkThrows) {
