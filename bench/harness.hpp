@@ -14,8 +14,8 @@
 //   AIO_BENCH_JSON       writes machine-readable results (bench/report.hpp)
 //   AIO_BENCH_MAX_STEPS  engine-step watchdog: abort (with diagnostics and
 //                        a trace dump) instead of spinning on a hung run
-//   AIO_TRACE            Chrome trace_event JSON per machine (Perfetto)
-//   AIO_TRACE_CATS       widen/narrow trace categories ("all" adds engine)
+//   AIO_TRACE            Chrome trace_event JSON per machine (Perfetto),
+//                        rendered from the machine's journal at flush
 //   AIO_METRICS          metrics registry JSON per machine
 //   AIO_JOURNAL          binary run journal per machine (tools/aio_report)
 //   AIO_REPORT           end-of-run analysis: terse stdout summary, plus the
@@ -56,8 +56,8 @@
 #include "obs/journal.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace.hpp"
 #include "report.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -71,23 +71,22 @@ inline std::size_t samples_or(std::size_t fallback) {
   return env_size("AIO_BENCH_SAMPLES", fallback);
 }
 
-/// Builds the per-machine metrics registry when observability is requested
-/// (`AIO_TRACE` or `AIO_METRICS` set).  Null otherwise so the default path
-/// has zero bookkeeping.
+/// Builds the per-machine metrics registry when `AIO_METRICS` is set.  Null
+/// otherwise so the default path has zero bookkeeping.
 inline std::unique_ptr<obs::Registry> metrics_from_env() {
-  if (std::getenv("AIO_TRACE") || std::getenv("AIO_METRICS"))
-    return std::make_unique<obs::Registry>();
+  if (std::getenv("AIO_METRICS")) return std::make_unique<obs::Registry>();
   return nullptr;
 }
 
 /// A fully assembled simulated machine.
 struct Machine {
   fs::MachineSpec spec;
-  // Observability precedes engine: the engine captures these pointers.
-  std::unique_ptr<obs::TraceSink> trace;
+  // Observability precedes engine: the engine captures the recorder, which
+  // fans every record out to the env-armed subscribers.
   std::unique_ptr<obs::Registry> metrics;
   std::unique_ptr<obs::Journal> journal;
   std::unique_ptr<obs::LivePlane> live;
+  obs::Recorder recorder;
   sim::Engine engine;
   fs::FileSystem filesystem;
   net::Network network;
@@ -95,7 +94,7 @@ struct Machine {
   std::optional<fs::BackgroundLoad> load;
   std::optional<fs::InterferenceJob> job;
 
-  /// `obs_slot` numbers this machine's trace/metrics output paths when
+  /// `obs_slot` numbers this machine's AIO_* output paths when
   /// several machines coexist in one process: slot 0 writes `<path>`, slot k
   /// writes `<path>.k+1`.  The default (-1) falls back to first-come
   /// numbering — fine serially, nondeterministic under AIO_BENCH_THREADS>1,
@@ -111,20 +110,23 @@ struct Machine {
   Machine(fs::MachineSpec machine_spec, std::uint64_t seed, bool with_load,
           std::size_t min_ranks = 0, int obs_slot = -1)
       : spec(apply_env(std::move(machine_spec))),
-        trace(obs::TraceSink::from_env(obs_slot)),
         metrics(metrics_from_env()),
         journal(obs::Journal::from_env(obs_slot)),
         live(obs::LivePlane::from_env(obs_slot)),
-        engine(trace.get(), metrics.get(), journal.get(), live.get()),
+        recorder(journal.get(), live.get(), metrics.get()),
+        engine(recorder.empty() ? nullptr : &recorder),
         filesystem(engine, spec.fs),
         network(engine,
                 net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
                 std::max(min_ranks, spec.total_cores())) {
-    obs_slot_ = obs_slot;
+    // Resolve first-come numbering once, so the trace, report and metrics
+    // paths of this machine all carry the same number.
+    static std::atomic<int> instances{0};
+    obs_slot_ = obs_slot >= 0 ? obs_slot : instances++;
     if (metrics) {
       const double period =
           env_double("AIO_OBS_PERIOD_S", 1.0);
-      sampler.emplace(*metrics, trace.get(), period);
+      sampler.emplace(*metrics, period);
       filesystem.register_probes(*sampler, env_size("AIO_OBS_OSTS", 32));
       arm_sampler();
     }
@@ -144,13 +146,11 @@ struct Machine {
     job.emplace(engine, fs::InterferenceJob::Config{}, filesystem.ost_pointers());
   }
 
-  /// Writes the trace, journal, metrics and report artifacts (also called on
-  /// destruction and on watchdog abort, so a hung run still leaves its
-  /// evidence behind).  Report/journal emission is latched: the watchdog path
-  /// and the destructor never print the summary twice.
+  /// Writes the journal, trace, report, live and metrics artifacts (also
+  /// called on destruction and on watchdog abort, so a hung run still leaves
+  /// its evidence behind).  Journal/trace/report emission is latched: the
+  /// watchdog path and the destructor never print the summary twice.
   void flush_obs() {
-    if (trace) trace->write();
-    if (trace && metrics) trace->publish_drops(*metrics);
     if (journal && !report_flushed_) {
       report_flushed_ = true;
       (void)journal->write();
@@ -159,26 +159,16 @@ struct Machine {
     if (live) live->flush();
     // Export the drop counters once per machine so the bench JSON records
     // whether any observability channel lost data (flush-fix satellite).
-    if ((trace || journal || live) && !drops_published_) {
+    if ((journal || live) && !drops_published_) {
       drops_published_ = true;
       ObsDropTotals& totals = obs_drop_totals();
-      if (trace) totals.trace.fetch_add(trace->dropped(), std::memory_order_relaxed);
       if (journal) totals.journal.fetch_add(journal->dropped(), std::memory_order_relaxed);
       if (live) totals.live_rows.fetch_add(live->rows_dropped(), std::memory_order_relaxed);
       totals.published.store(true, std::memory_order_relaxed);
     }
     if (!metrics) return;
     if (const char* path = std::getenv("AIO_METRICS"); path && *path) {
-      // Number sibling machines' outputs the same way TraceSink::from_env
-      // numbers trace paths: an explicit obs_slot is deterministic; the
-      // first-come fallback counter is atomic so concurrent machines never
-      // race it onto the same path.
-      if (metrics_path_.empty()) {
-        static std::atomic<int> instances{0};
-        const int ordinal = obs_slot_ >= 0 ? obs_slot_ + 1 : ++instances;
-        metrics_path_ = ordinal == 1 ? path : std::string(path) + "." + std::to_string(ordinal);
-      }
-      if (std::FILE* f = std::fopen(metrics_path_.c_str(), "w")) {
+      if (std::FILE* f = std::fopen(obs::numbered_path(path, obs_slot_).c_str(), "w")) {
         const std::string doc = metrics->to_json().dump();
         std::fwrite(doc.data(), 1, doc.size(), f);
         std::fputc('\n', f);
@@ -229,8 +219,8 @@ struct Machine {
     // instant, then write everything out before throwing.
     if (sampler) sampler->tick(engine.now());
     flush_obs();
-    if (trace && !trace->config().path.empty())
-      msg += "; trace dumped to " + trace->config().path;
+    if (const char* trace = std::getenv("AIO_TRACE"); trace && *trace)
+      msg += "; trace dumped to " + obs::numbered_path(trace, obs_slot_);
     if (live && live->flight_enabled() && live->dump_flight())
       msg += "; flight recorder dumped to " + live->config().flight_path;
     throw std::runtime_error(msg);
@@ -250,7 +240,6 @@ struct Machine {
     });
   }
 
-  std::string metrics_path_;
   int obs_slot_ = -1;
   bool report_flushed_ = false;
   bool drops_published_ = false;

@@ -112,9 +112,8 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
   const std::uint64_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
 
-  sim::Engine engine;
-  engine.set_journal(journal);
-  engine.set_live(live);
+  obs::Recorder recorder(journal, live);
+  sim::Engine engine(recorder.empty() ? nullptr : &recorder);
   fs::FileSystem filesystem(engine, spec.fs);
   std::optional<net::Network> network;
   std::unique_ptr<core::Transport> transport;

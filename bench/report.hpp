@@ -68,7 +68,6 @@ inline std::uint64_t peak_rss_bytes() {
 /// so env-unset runs emit byte-identical reports.  Atomics because machines
 /// flush from the replication pool's threads (AIO_BENCH_THREADS > 1).
 struct ObsDropTotals {
-  std::atomic<std::uint64_t> trace{0};       ///< trace events over the buffer cap
   std::atomic<std::uint64_t> journal{0};     ///< journal records over max_records
   std::atomic<std::uint64_t> live_rows{0};   ///< live snapshot rows that failed to write
   std::atomic<bool> published{false};
@@ -176,7 +175,6 @@ class Report {
     if (const ObsDropTotals& drops = obs_drop_totals();
         drops.published.load(std::memory_order_relaxed)) {
       obs::Json d = obs::Json::object();
-      d.set("trace", obs::Json(static_cast<double>(drops.trace.load(std::memory_order_relaxed))));
       d.set("journal",
             obs::Json(static_cast<double>(drops.journal.load(std::memory_order_relaxed))));
       d.set("live_rows",

@@ -14,6 +14,7 @@
 #include "obs/analysis.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/sampler.hpp"
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
@@ -27,7 +28,8 @@ int main() {
   // AIO_JOURNAL/AIO_REPORT capture the per-OST state timeline for
   // tools/aio_report even though this study runs no adaptive protocol.
   const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env();
-  sim::Engine engine(/*trace=*/nullptr, &metrics, journal.get());
+  obs::Recorder recorder(journal.get(), /*live=*/nullptr, &metrics);
+  sim::Engine engine(&recorder);
   fs::FileSystem filesystem(engine, spec.fs);
   fs::BackgroundLoad load(engine, sim::Rng(2026).fork(1), spec.load,
                           filesystem.ost_pointers());
@@ -35,7 +37,7 @@ int main() {
 
   // Sample the storage landscape into the registry every simulated 30 s.
   // Daemon events never keep run() alive, so sampling is purely an observer.
-  obs::Sampler sampler(metrics, /*trace=*/nullptr, /*period_s=*/30.0);
+  obs::Sampler sampler(metrics, /*period_s=*/30.0);
   filesystem.register_probes(sampler, /*per_ost_limit=*/8);
   std::function<void()> arm = [&] {
     sampler.tick(engine.now());

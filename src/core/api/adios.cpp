@@ -3,7 +3,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "obs/analysis.hpp"
 #include "obs/env.hpp"
 
 namespace aio::api {
@@ -99,10 +98,7 @@ core::LocalIndex WriteSet::blueprint(core::Rank rank) const {
 Simulation::Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options)
     : spec_(std::move(spec)),
       options_(options),
-      trace_(obs::TraceSink::from_env()),
-      journal_(obs::Journal::from_env()),
-      live_(obs::LivePlane::from_env()),
-      engine_(trace_.get(), &metrics_, journal_.get(), live_.get()),
+      engine_(obs_.recorder()),
       rng_(seed) {
   fs_ = std::make_unique<fs::FileSystem>(engine_, spec_.fs);
   net::NetConfig nc;
@@ -120,12 +116,11 @@ Simulation::Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options
                                                  fs_->ost_pointers());
   }
   if (options_.metrics_sample_period_s > 0.0) {
-    sampler_ = std::make_unique<obs::Sampler>(metrics_, trace_.get(),
-                                              options_.metrics_sample_period_s);
+    sampler_ = std::make_unique<obs::Sampler>(obs_.metrics(), options_.metrics_sample_period_s);
     fs_->register_probes(*sampler_, options_.metrics_per_ost);
     arm_sampler();
   }
-  if (live_ && live_->snapshot_enabled()) arm_live();
+  if (obs_.live() && obs_.live()->snapshot_enabled()) arm_live();
 }
 
 void Simulation::arm_sampler() {
@@ -139,8 +134,8 @@ void Simulation::arm_sampler() {
 
 void Simulation::arm_live() {
   // Same daemon pattern as the sampler: one aio-live-v1 row per period.
-  engine_.schedule_daemon_after(live_->config().snapshot_period_s, [this] {
-    live_->snapshot_tick(engine_.now());
+  engine_.schedule_daemon_after(obs_.live()->config().snapshot_period_s, [this] {
+    obs_.live()->snapshot_tick(engine_.now());
     arm_live();
   });
 }
@@ -151,18 +146,7 @@ void Simulation::flush_obs(bool aborted) {
   // An aborted run would otherwise lose the metrics tail between the last
   // daemon tick and the failure instant.
   if (aborted && sampler_) sampler_->tick(engine_.now());
-  if (trace_) {
-    trace_->write();
-    trace_->publish_drops(metrics_);
-  }
-  if (journal_) {
-    (void)journal_->write();
-    (void)obs::flush_report(*journal_);
-  }
-  if (live_) {
-    live_->flush();
-    if (aborted && live_->flight_enabled()) (void)live_->dump_flight();
-  }
+  obs_.flush(aborted);
 }
 
 Simulation::~Simulation() {

@@ -32,11 +32,8 @@
 #include "fs/interference.hpp"
 #include "fs/machine.hpp"
 #include "net/network.hpp"
-#include "obs/journal.hpp"
-#include "obs/live.hpp"
-#include "obs/metrics.hpp"
+#include "obs/observers.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace.hpp"
 #include "sim/rng.hpp"
 
 namespace aio::api {
@@ -141,25 +138,19 @@ class Simulation {
   [[nodiscard]] net::Network& network() { return *net_; }
   [[nodiscard]] const fs::MachineSpec& spec() const { return spec_; }
 
-  /// End-of-run metrics: always available (counters/gauges cost nothing to
-  /// keep); series fill only when `metrics_sample_period_s` is set.
-  [[nodiscard]] obs::Registry& metrics() { return metrics_; }
-  /// Trace sink built from AIO_TRACE, or null.  Written out on destruction.
-  [[nodiscard]] obs::TraceSink* trace() { return trace_.get(); }
-  /// Run journal built from AIO_JOURNAL/AIO_REPORT, or null.  Written (and
-  /// its analysis report emitted) on destruction.
-  [[nodiscard]] obs::Journal* journal() { return journal_.get(); }
-  /// Live telemetry plane built from AIO_LIVE/AIO_FLIGHT, or null.
-  [[nodiscard]] obs::LivePlane* live() { return live_.get(); }
+  /// The machine's observers: end-of-run metrics (always available; the
+  /// counters derive from the record stream, series fill only when
+  /// `metrics_sample_period_s` is set), plus the journal (AIO_JOURNAL /
+  /// AIO_REPORT / AIO_TRACE) and live plane (AIO_LIVE / AIO_FLIGHT) when
+  /// armed.  Their artifacts are written on destruction.
+  [[nodiscard]] obs::Observers& observers() { return obs_; }
   /// Current live-plane snapshot (zeroed when no plane is attached).
-  [[nodiscard]] obs::LiveView live_view() const {
-    return live_ ? live_->view() : obs::LiveView{};
-  }
+  [[nodiscard]] obs::LiveView live_view() const { return obs_.live_view(); }
 
  private:
   void arm_sampler();
   void arm_live();
-  /// Writes out every observability artifact exactly once: trace, journal +
+  /// Writes out every observability artifact exactly once: journal, trace +
   /// report, live snapshot tail — and, on an aborted run, a final sampler
   /// tick plus the flight-recorder dump.  The failure path and the
   /// destructor both land here; the latch keeps the second call a no-op.
@@ -168,11 +159,8 @@ class Simulation {
   fs::MachineSpec spec_;
   Options options_;
   // Observability state must precede engine_: the engine captures the
-  // pointers at construction.
-  std::unique_ptr<obs::TraceSink> trace_;
-  std::unique_ptr<obs::Journal> journal_;
-  std::unique_ptr<obs::LivePlane> live_;
-  obs::Registry metrics_;
+  // recorder at construction.
+  obs::Observers obs_;
   bool obs_flushed_ = false;
   sim::Engine engine_;
   sim::Rng rng_;

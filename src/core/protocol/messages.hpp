@@ -108,8 +108,6 @@ struct Message {
 
   /// Bytes this message occupies on the wire (index payloads dominate).
   [[nodiscard]] double wire_bytes() const;
-  /// Human-readable message name (diagnostics).
-  [[nodiscard]] const char* name() const;
 };
 
 /// Rank layout: writers are partitioned into contiguous groups (process IDs

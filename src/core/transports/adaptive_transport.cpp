@@ -9,10 +9,7 @@
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
 #include "core/protocol/writer_pool.hpp"
-#include "obs/journal.hpp"
-#include "obs/live.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 #include "sim/shard.hpp"
 
 namespace aio::core {
@@ -51,13 +48,8 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   std::size_t opens_remaining = 0;
   std::size_t closes_remaining = 0;
 
-  // Observability hooks from the engine; `trace` is pre-gated on the
-  // protocol category so the hot paths test one pointer.
-  obs::TraceSink* trace = nullptr;
-  obs::Registry* metrics = nullptr;
-  obs::Journal* journal = nullptr;
-  obs::LivePlane* live = nullptr;
   std::uint32_t journal_run = 0;  ///< this run's id within the journal
+  bool observing_ = false;        ///< engines carry a recorder
 
   /// Non-null for runs homed on a sharded file system: protocol events
   /// execute on the shard owning the acting rank's domain, and every
@@ -69,19 +61,7 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   AdaptiveRun(fs::FileSystem& f, net::Network& n, AdaptiveTransport::Config c, Topology t)
       : fs(f), net(n), cfg(std::move(c)), topo(t) {
     shards = fs.shards();
-    trace = fs.engine().trace();
-    if (trace && !trace->wants(obs::kCatProtocol)) trace = nullptr;
-    metrics = fs.engine().metrics();
-    journal = fs.engine().journal();
-    live = fs.engine().live();
-    if (shards) {
-      // The trace sink, metrics registry, and live plane are single-threaded
-      // consumers; sharded runs support the journal only (one per shard
-      // engine, merged canonically after the run).
-      trace = nullptr;
-      metrics = nullptr;
-      live = nullptr;
-    }
+    observing_ = fs.engine().recorder() != nullptr;
     scratch_shards_.resize(shards ? shards->n_shards() : 1);
   }
 
@@ -91,17 +71,13 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
     return shards ? *sim::current_engine() : fs.engine();
   }
 
-  /// Journal and live plane consume the same records; one gate, one emit.
-  [[nodiscard]] bool observing() const { return journal || live; }
+  /// Records go to the acting engine's recorder.  In sharded runs every
+  /// shard engine carries a journal-only recorder (or none), merged
+  /// canonically after the run, so the gate is all-or-none across shards
+  /// and is read once, at construction.
+  [[nodiscard]] bool observing() const { return observing_; }
   void obs_append(const obs::Record& r) {
-    if (shards) {
-      // Each shard appends to its own journal; the merge is canonical, so
-      // the gate below (shard-0 pointers) is all-or-none across shards.
-      if (obs::Journal* j = eng().journal()) j->append(r);
-      return;
-    }
-    if (journal) journal->append(r);
-    if (live) live->ingest(r);
+    if (observing_) eng().recorder()->emit(r);
   }
 
   void begin(const IoJob& job);
@@ -111,8 +87,8 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   void deliver(Rank to, const Message& msg);
   void all_roles_done();
   void finish(sim::Time now);
-  void trace_steal_grant(const SendAction& send);
-  void trace_steal_complete(const WriteComplete& msg);
+  void emit_steal_grant(const SendAction& send);
+  void emit_steal_complete(const WriteComplete& msg);
   void journal_mark(obs::Mark mark, double v0 = 0.0, double v1 = 0.0) {
     obs::Record r;
     r.kind = obs::Rec::kRunMark;
@@ -214,13 +190,13 @@ void AdaptiveRun::begin(const IoJob& job) {
     if (!cfg.targets.empty()) return cfg.targets[file] % fs.n_osts();
     return file % fs.n_osts();
   };
-  if (observing()) {
-    journal_run = journal ? journal->begin_run() : 0;
-    if (shards && journal) {
+  if (obs::Recorder* rec = eng().recorder()) {
+    journal_run = rec->begin_run();
+    if (shards) {
       // Every shard's journal counts the same runs, so run-scoped record ids
       // agree across shards (and therefore across shard counts post-merge).
       for (std::size_t s = 1; s < shards->n_shards(); ++s)
-        if (obs::Journal* js = shards->engine(s).journal()) js->begin_run();
+        if (obs::Recorder* rs = shards->engine(s).recorder()) rs->begin_run();
     }
     obs::Record r;
     r.kind = obs::Rec::kRunBegin;
@@ -281,81 +257,40 @@ void AdaptiveRun::start_protocol() {
   }
 }
 
-void AdaptiveRun::trace_steal_grant(const SendAction& send) {
+void AdaptiveRun::emit_steal_grant(const SendAction& send) {
   // An ADAPTIVE_WRITE_START leaving the coordinator is a steal grant: the
   // destination rank is the SC of the group being stolen *from*; the body
   // names the file being stolen *into*.
   const auto* grant = std::get_if<AdaptiveWriteStart>(&send.msg.body);
   if (!grant) return;
-  if (metrics) metrics->counter("protocol.steal_grants").add();
-  if (observing()) {
-    const GroupId src = topo.group_of(send.to);
-    obs::Record r;
-    r.kind = obs::Rec::kStealGrant;
-    r.t = eng().now();
-    r.id = static_cast<std::uint32_t>(grant->grant_seq);
-    r.u0 = static_cast<std::uint32_t>(src);
-    r.u1 = static_cast<std::uint32_t>(grant->target_file);
-    r.v0 = grant->offset;
-    r.v1 = static_cast<double>(coord->remaining_writers(src));
-    obs_append(r);
-  }
-  if (!trace) return;
-  const GroupId source = topo.group_of(send.to);
-  trace->instant(
-      obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(send.to),
-      eng().now(), "steal.grant",
-      {{"source_sc", obs::Json(static_cast<double>(source))},
-       {"target_file", obs::Json(static_cast<double>(grant->target_file))},
-       {"offset", obs::Json(grant->offset)},
-       {"source_queue_depth",
-        obs::Json(static_cast<double>(coord->remaining_writers(source)))},
-       {"target_writes_into",
-        obs::Json(static_cast<double>(coord->writes_into(grant->target_file)))}});
+  const GroupId src = topo.group_of(send.to);
+  obs::Record r;
+  r.kind = obs::Rec::kStealGrant;
+  r.t = eng().now();
+  r.id = static_cast<std::uint32_t>(grant->grant_seq);
+  r.u0 = static_cast<std::uint32_t>(src);
+  r.u1 = static_cast<std::uint32_t>(grant->target_file);
+  r.v0 = grant->offset;
+  r.v1 = static_cast<double>(coord->remaining_writers(src));
+  obs_append(r);
 }
 
-void AdaptiveRun::trace_steal_complete(const WriteComplete& msg) {
-  if (metrics) metrics->counter("protocol.steals").add();
-  if (observing()) {
-    obs::Record r;
-    r.kind = obs::Rec::kStealComplete;
-    r.t = eng().now();
-    r.id = static_cast<std::uint32_t>(msg.grant_seq);
-    r.u0 = static_cast<std::uint32_t>(msg.origin_group);
-    r.u1 = static_cast<std::uint32_t>(msg.file);
-    r.u2 = static_cast<std::uint32_t>(msg.writer);
-    r.v0 = msg.bytes;
-    obs_append(r);
-  }
-  if (!trace) return;
-  trace->instant(
-      obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(msg.writer),
-      eng().now(), "steal.complete",
-      {{"writer", obs::Json(static_cast<double>(msg.writer))},
-       {"source_sc", obs::Json(static_cast<double>(msg.origin_group))},
-       {"target_file", obs::Json(static_cast<double>(msg.file))},
-       {"bytes", obs::Json(msg.bytes)},
-       {"source_queue_depth",
-        obs::Json(static_cast<double>(coord->remaining_writers(msg.origin_group)))},
-       {"target_writes_into",
-        obs::Json(static_cast<double>(coord->writes_into(msg.file)))}});
+void AdaptiveRun::emit_steal_complete(const WriteComplete& msg) {
+  obs::Record r;
+  r.kind = obs::Rec::kStealComplete;
+  r.t = eng().now();
+  r.id = static_cast<std::uint32_t>(msg.grant_seq);
+  r.u0 = static_cast<std::uint32_t>(msg.origin_group);
+  r.u1 = static_cast<std::uint32_t>(msg.file);
+  r.u2 = static_cast<std::uint32_t>(msg.writer);
+  r.v0 = msg.bytes;
+  obs_append(r);
 }
 
 void AdaptiveRun::deliver(Rank to, const Message& msg) {
-  if (trace) {
-    trace->instant(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(to),
-                   eng().now(), msg.name(),
-                   {{"from", obs::Json(static_cast<double>(msg.from))}});
-  }
-  if (metrics) {
-    metrics->counter("protocol.msgs").add();
-    if (std::holds_alternative<WritersBusy>(msg.body))
-      metrics->counter("protocol.busy_declines").add();
-  }
   if (const auto* wc = std::get_if<WriteComplete>(&msg.body);
-      wc && wc->kind == WriteComplete::Kind::AdaptiveDone &&
-      (trace || metrics || journal || live)) {
-    trace_steal_complete(*wc);
+      wc && wc->kind == WriteComplete::Kind::AdaptiveDone && observing()) {
+    emit_steal_complete(*wc);
   }
   // Route by message type + destination role: writers get DO_WRITE, the
   // destination rank's SC gets file traffic, the coordinator the rest.
@@ -386,7 +321,6 @@ void AdaptiveRun::deliver(Rank to, const Message& msg) {
 
 void AdaptiveRun::writer_write_done(Rank from, std::uint32_t file, sim::Time now) {
   result.writer_times[static_cast<std::size_t>(from)].end = now;
-  if (trace) trace->end(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from), now);
   if (observing()) {
     obs::Record r;
     r.kind = obs::Rec::kWriterEnd;
@@ -398,13 +332,11 @@ void AdaptiveRun::writer_write_done(Rank from, std::uint32_t file, sim::Time now
   execute(from, writers->on_write_done(from));
 }
 
-void AdaptiveRun::sc_index_write_done(Rank from, std::uint32_t, sim::Time now) {
-  if (trace) trace->end(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from), now);
+void AdaptiveRun::sc_index_write_done(Rank from, std::uint32_t, sim::Time) {
   execute(from, sc_at(from).on_index_write_done());
 }
 
-void AdaptiveRun::coord_gidx_write_done(Rank from, std::uint32_t, sim::Time now) {
-  if (trace) trace->end(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from), now);
+void AdaptiveRun::coord_gidx_write_done(Rank from, std::uint32_t, sim::Time) {
   execute(from, coord->on_global_index_write_done());
 }
 
@@ -450,9 +382,8 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
   auto self = shared_from_this();
   for (auto& action : actions) {
     if (auto* send = std::get_if<SendAction>(&action)) {
-      if ((trace || metrics || journal || live) && from == Topology::coordinator_rank())
-        trace_steal_grant(*send);
       if (observing()) {
+        if (from == Topology::coordinator_rank()) emit_steal_grant(*send);
         // A DO_WRITE leaving an SC is the writer's release from its queue;
         // the gap to the matching kWriterStart is pure network latency.
         if (const auto* dw = std::get_if<DoWrite>(&send->msg.body)) {
@@ -476,13 +407,6 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
       net.send(from, to, bytes, std::move(deliver_cb));
     } else if (const auto* write = std::get_if<StartWriteAction>(&action)) {
       result.writer_times[static_cast<std::size_t>(from)].start = eng().now();
-      if (trace) {
-        trace->begin(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from),
-                     eng().now(), "write",
-                     {{"file", obs::Json(static_cast<double>(write->file))},
-                      {"offset", obs::Json(write->offset)},
-                      {"bytes", obs::Json(write->bytes)}});
-      }
       const auto file = static_cast<std::uint32_t>(write->file);
       if (observing()) {
         obs::Record r;
@@ -496,21 +420,10 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
       issue_write(from, *files.at(static_cast<std::size_t>(write->file)), write->offset,
                   write->bytes, data_mode, file, &AdaptiveRun::writer_write_done);
     } else if (const auto* widx = std::get_if<WriteIndexAction>(&action)) {
-      if (trace) {
-        trace->begin(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from),
-                     eng().now(), "index_write",
-                     {{"file", obs::Json(static_cast<double>(widx->file))},
-                      {"bytes", obs::Json(widx->bytes)}});
-      }
       issue_write(from, *files.at(static_cast<std::size_t>(widx->file)), widx->offset,
                   widx->bytes, fs::Ost::Mode::Durable, static_cast<std::uint32_t>(widx->file),
                   &AdaptiveRun::sc_index_write_done);
     } else if (const auto* gidx = std::get_if<WriteGlobalIndexAction>(&action)) {
-      if (trace) {
-        trace->begin(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from),
-                     eng().now(), "global_index_write",
-                     {{"bytes", obs::Json(gidx->bytes)}});
-      }
       issue_write(from, *master, 0.0, gidx->bytes, fs::Ost::Mode::Durable, 0,
                   &AdaptiveRun::coord_gidx_write_done);
     } else if (std::get_if<RoleDoneAction>(&action)) {
@@ -543,13 +456,6 @@ void AdaptiveRun::all_roles_done() {
   result.steals = coord->total_steals();
   result.grants_issued = coord->grants_issued();
   if (observing()) journal_mark(obs::Mark::kDataDone);
-  if (metrics) {
-    metrics->counter("protocol.runs").add();
-    metrics->gauge("protocol.last_steals").set(static_cast<double>(result.steals));
-    metrics->gauge("protocol.last_grants").set(static_cast<double>(result.grants_issued));
-    obs::Histogram& h = metrics->histogram("protocol.writer_s");
-    for (const auto& wt : result.writer_times) h.add(wt.end - wt.start);
-  }
   result.total_blocks_indexed = coord->total_blocks();
   if (cfg.retain_global_index) {
     result.global_index = std::make_shared<GlobalIndex>(coord->take_global_index());
@@ -582,7 +488,6 @@ void AdaptiveRun::finish(sim::Time now) {
   if (observing())
     journal_mark(obs::Mark::kComplete, static_cast<double>(result.steals),
                  static_cast<double>(result.grants_issued));
-  if (metrics) metrics->histogram("protocol.run_s").add(result.t_complete - result.t_begin);
   on_done(result);
 }
 

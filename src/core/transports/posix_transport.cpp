@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.hpp"
-
 namespace aio::core {
 
 void PosixTransport::run(const IoJob& job, std::function<void(IoResult)> on_done) {
@@ -48,24 +46,12 @@ void PosixTransport::run(const IoJob& job, std::function<void(IoResult)> on_done
   };
 
   // Writers split evenly across the OSTs: writer i -> OST i mod n.
-  obs::TraceSink* trace = fs_.engine().trace();
-  if (trace && !trace->wants(obs::kCatProtocol)) trace = nullptr;
   const double t0 = fs_.engine().now();
   for (std::size_t i = 0; i < job.n_writers(); ++i) {
     state->result.writer_times[i].start = t0;
-    if (trace) {
-      trace->begin(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(i), t0,
-                   "write",
-                   {{"ost", obs::Json(static_cast<double>(i % n_osts))},
-                    {"bytes", obs::Json(job.bytes_per_writer[i])}});
-    }
     fs_.ost(i % n_osts).write(job.bytes_per_writer[i], config_.mode,
-                              [state, i, finish, trace](sim::Time now) {
+                              [state, i, finish](sim::Time now) {
                                 state->result.writer_times[i].end = now;
-                                if (trace) {
-                                  trace->end(obs::kCatProtocol, obs::kPidProtocol,
-                                             static_cast<std::uint32_t>(i), now);
-                                }
                                 if (--state->remaining == 0) finish();
                               });
   }

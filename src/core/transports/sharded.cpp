@@ -26,15 +26,13 @@ sim::ShardGroup::Config shard_config(const ShardedAdaptiveSim::Config& c) {
 
 ShardedAdaptiveSim::ShardedAdaptiveSim(Config config)
     : shards_(shard_config(config)),
+      records_(config.collect_journal ? shards_.n_shards() : 0),
       fs_(shards_, config.fs),
       net_(shards_, config.net, config.n_ranks),
       transport_(fs_, net_, config.adaptive) {
-  if (config.collect_journal) {
-    journals_.reserve(shards_.n_shards());
-    for (std::size_t s = 0; s < shards_.n_shards(); ++s) {
-      journals_.push_back(std::make_unique<obs::Journal>(obs::Journal::Config{}));
-      shards_.engine(s).set_journal(journals_.back().get());
-    }
+  if (!records_.empty()) {
+    for (std::size_t s = 0; s < shards_.n_shards(); ++s)
+      shards_.engine(s).set_recorder(records_.recorder(s));
   }
   if (config.profiler) shards_.set_profiler(config.profiler);
 }
@@ -49,7 +47,7 @@ IoResult ShardedAdaptiveSim::run(const IoJob& job) {
   // journal->trace converter see the runtime cost next to the run it paid
   // for.  Only when a profiler is armed — default journals stay shard-count
   // invariant.
-  if (obs::prof::ShardProfiler* prof = shards_.profiler(); prof && !journals_.empty()) {
+  if (obs::prof::ShardProfiler* prof = shards_.profiler(); prof && !records_.empty()) {
     for (std::size_t s = 0; s < shards_.n_shards(); ++s) {
       const obs::prof::ShardProfiler::Slot& slot = prof->slot(s);
       obs::Record r;
@@ -63,17 +61,14 @@ IoResult ShardedAdaptiveSim::run(const IoJob& job) {
       r.u1 = static_cast<std::uint32_t>(slot.msgs_posted);
       r.u2 = static_cast<std::uint32_t>(slot.msgs_drained);
       r.a = static_cast<std::uint8_t>(shards_.n_shards());
-      journals_[s]->append(r);
+      records_.recorder(s)->emit(r);
     }
   }
   return std::move(*out);
 }
 
 std::vector<obs::Record> ShardedAdaptiveSim::merged_records() const {
-  std::vector<const obs::Journal*> parts;
-  parts.reserve(journals_.size());
-  for (const auto& j : journals_) parts.push_back(j.get());
-  return obs::merge_records(parts);
+  return records_.merged();
 }
 
 }  // namespace aio::core

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
-#include "obs/journal.hpp"
+#include "obs/observers.hpp"
 #include "obs/prof.hpp"
 #include "sim/shard.hpp"
 
@@ -35,7 +35,8 @@ class ShardedAdaptiveSim {
     /// network latency, the minimum cross-shard coupling delay.
     double window_batch = 64.0;
     std::size_t n_domains = 0;  ///< 0 = default plan (min(32, n_osts))
-    bool collect_journal = false;  ///< attach one journal per shard engine
+    /// Attach one journal per shard engine, through a journal-only recorder.
+    bool collect_journal = false;
     /// Host-runtime profiler (obs/prof.hpp), bound to the shard group before
     /// the run.  Null (the default) records nothing.  Profiling never feeds
     /// back into simulated time, so results stay bit-identical armed or not;
@@ -61,7 +62,7 @@ class ShardedAdaptiveSim {
 
  private:
   sim::ShardGroup shards_;
-  std::vector<std::unique_ptr<obs::Journal>> journals_;  // one per shard
+  obs::ShardRecords records_;  // one journal-only recorder per shard, or none
   fs::FileSystem fs_;
   net::Network net_;
   AdaptiveTransport transport_;

@@ -266,17 +266,15 @@ void FileSystem::register_probes(obs::Sampler& sampler, std::size_t per_ost_limi
   });
   sampler.add_probe("fs.fabric_active",
                     [this](double) { return static_cast<double>(fabric_.active_count()); });
-  sampler.add_probe(
-      "mds.backlog", [this](double) { return static_cast<double>(mds_.backlog()); },
-      obs::kPidMds);
+  sampler.add_probe("mds.backlog",
+                    [this](double) { return static_cast<double>(mds_.backlog()); });
   if (mds_.count() > 1) {
     // Per-server depth only when there is a tier to tell apart — the
     // aggregate above keeps its name (and series set) for single-MDS runs.
     for (std::size_t m = 0; m < mds_.count(); ++m) {
       MetadataServer* srv = &mds_.server(m);
       sampler.add_probe("mds" + std::to_string(m) + ".backlog",
-                        [srv](double) { return static_cast<double>(srv->backlog()); },
-                        obs::kPidMds);
+                        [srv](double) { return static_cast<double>(srv->backlog()); });
     }
   }
 }

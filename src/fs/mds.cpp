@@ -3,34 +3,21 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/journal.hpp"
-#include "obs/live.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace aio::fs {
 
-namespace {
-const char* op_name(MetadataServer::OpKind kind) {
-  switch (kind) {
-    case MetadataServer::OpKind::Open: return "mds.open";
-    case MetadataServer::OpKind::Close: return "mds.close";
-    case MetadataServer::OpKind::Stat: return "mds.stat";
-    case MetadataServer::OpKind::Create: return "mds.create";
-  }
-  return "mds.op";
-}
-}  // namespace
+// kMdsOp.a carries the op kind; the journal's record table and the trace
+// renderer's span names (obs/trace_export.cpp) rely on these values.
+static_assert(static_cast<int>(MetadataServer::OpKind::Open) == 0 &&
+                  static_cast<int>(MetadataServer::OpKind::Close) == 1 &&
+                  static_cast<int>(MetadataServer::OpKind::Stat) == 2 &&
+                  static_cast<int>(MetadataServer::OpKind::Create) == 3,
+              "kMdsOp op-kind encoding drifted");
 
 void MetadataServer::enqueue(OpKind kind, std::uint32_t items, OnComplete on_complete) {
   queue_.push_back(Request{kind, std::move(on_complete), items});
   peak_backlog_ = std::max(peak_backlog_, backlog());
-  if (auto* trace = engine_.trace(); trace && trace->wants(obs::kCatMds)) {
-    // The backlog track makes an open storm directly visible: every rank's
-    // simultaneous open stacks up here before the serial server drains it.
-    trace->counter(obs::kCatMds, obs::kPidMds, engine_.now(), "mds.backlog",
-                   static_cast<double>(backlog()));
-  }
   if (!busy_) dispatch();
 }
 
@@ -46,12 +33,7 @@ void MetadataServer::dispatch() {
       base_time(in_service_.kind) *
           (1.0 + config_.queue_penalty * static_cast<double>(queue_.size())) +
       static_cast<double>(in_service_.items - 1) * config_.batch_item_s;
-  if (auto* trace = engine_.trace(); trace && trace->wants(obs::kCatMds)) {
-    trace->begin(obs::kCatMds, obs::kPidMds, index_, engine_.now(), op_name(in_service_.kind),
-                 {{"queued_behind", obs::Json(static_cast<double>(queue_.size()))},
-                  {"service_s", obs::Json(service)}});
-  }
-  if (engine_.observing_records()) {
+  if (auto* recorder = engine_.recorder()) {
     obs::Record r;
     r.kind = obs::Rec::kMdsOp;
     r.t = engine_.now();
@@ -60,8 +42,7 @@ void MetadataServer::dispatch() {
     r.u0 = static_cast<std::uint32_t>(queue_.size());
     r.u1 = in_service_.items - 1;  // 0 for plain submits, as before the batch op
     r.v0 = service;
-    if (auto* journal = engine_.journal()) journal->append(r);
-    if (auto* live = engine_.live()) live->ingest(r);
+    recorder->emit(r);
   }
   // The in-service request stays in `in_service_` rather than riding in the
   // closure: the event then captures one pointer and an open storm's worth
@@ -72,19 +53,12 @@ void MetadataServer::dispatch() {
 void MetadataServer::complete_in_service() {
   ++completed_;
   completed_items_ += in_service_.items;
-  if (auto* trace = engine_.trace(); trace && trace->wants(obs::kCatMds))
-    trace->end(obs::kCatMds, obs::kPidMds, index_, engine_.now());
-  if (auto* reg = engine_.metrics()) reg->counter("mds.ops").add();
   // Move the finished request out before dispatching the next one (which
   // reuses the `in_service_` slot), and dispatch before running the callback
   // so a callback that submits more work observes an idle-or-busy server
   // consistently.
   Request req = std::move(in_service_);
   dispatch();
-  if (auto* trace = engine_.trace(); trace && trace->wants(obs::kCatMds)) {
-    trace->counter(obs::kCatMds, obs::kPidMds, engine_.now(), "mds.backlog",
-                   static_cast<double>(backlog()));
-  }
   if (req.on_complete) req.on_complete(engine_.now());
 }
 

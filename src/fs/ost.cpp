@@ -4,10 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/journal.hpp"
-#include "obs/live.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace aio::fs {
 
@@ -179,14 +176,13 @@ void Ost::recompute() {
       config_.disk_bw * (1.0 - disk_load_) * efficiency(std::max<std::size_t>(m_dirty, 1));
   const double share = m_dirty > 0 ? disk_total / static_cast<double>(m_dirty) : disk_total;
   const bool cache_full = q >= config_.cache_bytes - kEps;
-  if (engine_.trace()) trace_state(q, m_dirty, cache_full);
   // Dedup inline: recompute() runs ~20x per emitted record, so the observed
   // tuple is compared here and the out-of-line emit runs only on a change.
-  if (engine_.observing_records()) {
+  if (engine_.recorder()) {
     const std::uint64_t key = (static_cast<std::uint64_t>(m_dirty) << 33) |
                               (static_cast<std::uint64_t>(load_seq_) << 1) |
                               (cache_full ? 1u : 0u);
-    if (key != journaled_key_) observe_state(m_dirty, cache_full, key);
+    if (key != emitted_key_) observe_state(m_dirty, cache_full, key);
   }
 
   double r = 0.0;
@@ -278,10 +274,9 @@ void Ost::recompute() {
 }
 
 void Ost::observe_state(std::size_t m_dirty, bool cache_full, std::uint64_t key) {
-  // Journal and live plane share one dedup (the caller's inline compare):
-  // both see the same step function, which keeps the live load integrals
-  // equal to the analyzer's rebuild.
-  journaled_key_ = key;
+  // Every subscriber sees the same deduped step function, which keeps the
+  // live load integrals equal to the analyzer's rebuild.
+  emitted_key_ = key;
   obs::Record r;
   r.kind = obs::Rec::kOstState;
   r.t = engine_.now();
@@ -291,38 +286,7 @@ void Ost::observe_state(std::size_t m_dirty, bool cache_full, std::uint64_t key)
   r.v0 = efficiency(std::max<std::size_t>(m_dirty, 1));
   r.v1 = net_load_;
   r.v2 = disk_load_;
-  if (obs::Journal* journal = engine_.journal()) journal->append(r);
-  if (obs::LivePlane* live = engine_.live()) live->ingest(r);
-}
-
-void Ost::trace_state(double q, std::size_t m_dirty, bool cache_full) {
-  obs::TraceSink& sink = *engine_.trace();
-  if (!sink.wants(obs::kCatStorage)) return;
-  if (cache_full == traced_cache_full_ && m_dirty == traced_m_dirty_) return;
-  if (trace_name_.empty()) {
-    trace_name_ = "ost" + std::to_string(index_);
-    sink.name_thread(obs::kPidStorage, static_cast<std::uint32_t>(index_), trace_name_);
-  }
-  const double now = engine_.now();
-  const auto tid = static_cast<std::uint32_t>(index_);
-  if (cache_full != traced_cache_full_) {
-    sink.instant(obs::kCatStorage, obs::kPidStorage, tid, now,
-                 cache_full ? trace_name_ + ".cache_full" : trace_name_ + ".cache_drained",
-                 {{"occupancy", obs::Json(q)},
-                  {"dirty_streams", obs::Json(static_cast<double>(m_dirty))}});
-    if (auto* reg = engine_.metrics(); reg && cache_full)
-      reg->counter("storage.cache_full_crossings").add();
-    traced_cache_full_ = cache_full;
-  }
-  if (m_dirty != traced_m_dirty_) {
-    // Dirty-stream count doubles as the drain-efficiency driver; exporting
-    // both as counter tracks shows the internal-interference penalty live.
-    sink.counter(obs::kCatStorage, obs::kPidStorage, now, trace_name_ + ".dirty_streams",
-                 static_cast<double>(m_dirty));
-    sink.counter(obs::kCatStorage, obs::kPidStorage, now, trace_name_ + ".efficiency",
-                 efficiency(std::max<std::size_t>(m_dirty, 1)));
-    traced_m_dirty_ = m_dirty;
-  }
+  engine_.recorder()->emit(r);
 }
 
 bool Ost::flush_ready() const {

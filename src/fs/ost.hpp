@@ -31,7 +31,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -136,13 +135,10 @@ class Ost {
   void insert_op(OpId id, Op op);       ///< adds an op, reusing a spare node
   void retire_op(OpMap::iterator it);   ///< removes an op, parking its node
   [[nodiscard]] bool flush_ready() const;
-  /// Emits one kOstState record to the journal and live plane.  recompute()
-  /// dedups inline against journaled_key_ before calling, so this only runs
-  /// on an actual state transition; trace_state keeps its own last-emitted
-  /// state so enabling one consumer never perturbs the other.
+  /// Emits one kOstState record.  recompute() dedups inline against
+  /// emitted_key_ before calling, so this only runs on an actual state
+  /// transition.
   void observe_state(std::size_t m_dirty, bool cache_full, std::uint64_t key);
-  /// Emits cache-full / dirty-stream transition events onto the trace sink.
-  void trace_state(double q, std::size_t m_dirty, bool cache_full);
 
   [[nodiscard]] double efficiency(std::size_t m) const {
     if (m <= 1) return 1.0;
@@ -183,17 +179,12 @@ class Ost {
   ActivityHook activity_hook_;
   bool was_active_ = false;
 
-  // Last traced state, used to emit only transitions (not every recompute).
-  bool traced_cache_full_ = false;
-  std::size_t traced_m_dirty_ = 0;
-  std::string trace_name_;  // "ost<i>", built lazily on first traced event
-
-  // Last journaled state, packed so the per-recompute dedup is one 64-bit
+  // Last emitted state, packed so the per-recompute dedup is one 64-bit
   // compare: m_dirty (31 bits) | load_seq (32 bits) | cache_full (1 bit).
   // The external loads only move through set_load(), so a sequence number
   // stands in for the two doubles.  ~0 makes the first observed recompute
   // always record the OST's initial condition.
-  std::uint64_t journaled_key_ = ~std::uint64_t{0};
+  std::uint64_t emitted_key_ = ~std::uint64_t{0};
   std::uint32_t load_seq_ = 0;  ///< bumped by set_load()
 };
 

@@ -15,6 +15,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace_export.hpp"
 #include "stats/summary.hpp"
 
 namespace aio::obs {
@@ -805,21 +806,25 @@ std::vector<std::string> diff_reports(const Json& base, const Json& current,
 }
 
 bool flush_report(const Journal& journal, int slot) {
+  const char* trace = std::getenv("AIO_TRACE");
   const char* rep = std::getenv("AIO_REPORT");
-  if (!rep || !*rep) return true;
+  const bool want_trace = trace && *trace;
+  const bool want_report = rep && *rep;
+  if (!want_trace && !want_report) return true;
+  // Numbered paths per machine, same scheme as Journal::from_env.
+  static std::atomic<int> instances{0};
+  if (slot < 0) slot = instances++;
+  bool ok = !want_trace || write_journal_trace(journal, numbered_path(trace, slot));
+  if (!want_report) return ok;
   const Json report = analyze(journal);
   const std::string summary = report_summary(report);
   if (!summary.empty()) std::fputs(summary.c_str(), stdout);
   const std::string value(rep);
-  if (value == "-" || value == "1") return true;
-  // Numbered paths per machine, same scheme as TraceSink::from_env.
-  static std::atomic<int> instances{0};
-  const int ordinal = slot >= 0 ? slot + 1 : ++instances;
-  const std::string path = ordinal == 1 ? value : value + "." + std::to_string(ordinal);
-  std::ofstream out(path);
+  if (value == "-" || value == "1") return ok;
+  std::ofstream out(numbered_path(value, slot));
   if (!out) return false;
   out << report.dump() << '\n';
-  return static_cast<bool>(out);
+  return static_cast<bool>(out) && ok;
 }
 
 }  // namespace aio::obs

@@ -22,8 +22,8 @@
 // `diff_reports` compares two reports leaf-by-leaf under configurable
 // tolerances — the CI regression gate (tools/aio_diff).  `report_summary`
 // and `report_html` render the document for terminals and browsers;
-// `flush_report` is the AIO_REPORT env hook the benches and the API call at
-// teardown.
+// `flush_report` is the end-of-run hook (AIO_REPORT, AIO_TRACE) the benches
+// and the API call at teardown.
 #pragma once
 
 #include <string>
@@ -64,11 +64,13 @@ struct DiffOptions {
 [[nodiscard]] std::vector<std::string> diff_reports(const Json& base, const Json& current,
                                                     const DiffOptions& opts = {});
 
-/// AIO_REPORT hook: when the env var is set, analyzes `journal`, prints the
-/// terse summary to stdout and — unless the value is "-" or "1" (summary
-/// only) — writes the JSON document to the value as a path, numbered per
-/// `slot` like TraceSink paths.  Returns false only when the file write
-/// failed; a no-op (env unset) returns true.
+/// End-of-run hook.  When AIO_TRACE is set, renders the journal's Chrome
+/// trace (obs/trace_export.hpp) to that path.  When AIO_REPORT is set,
+/// analyzes `journal`, prints the terse summary to stdout and — unless the
+/// value is "-" or "1" (summary only) — writes the JSON document to the
+/// value as a path.  Both paths are numbered per `slot` (numbered_path);
+/// the -1 default numbers calls in order.  Returns false only when a file
+/// write failed; a no-op (both unset) returns true.
 bool flush_report(const Journal& journal, int slot = -1);
 
 }  // namespace aio::obs

@@ -36,18 +36,21 @@ Journal::Journal(Config config) : config_(std::move(config)) {
 }
 
 std::unique_ptr<Journal> Journal::from_env(int slot) {
-  const char* path = std::getenv("AIO_JOURNAL");
-  const char* report = std::getenv("AIO_REPORT");
-  const bool path_set = path && *path;
-  if (!path_set && !(report && *report)) return nullptr;
+  const auto env = [](const char* name) -> std::string {
+    const char* v = std::getenv(name);
+    return v ? v : "";
+  };
+  const std::string path = env("AIO_JOURNAL");
+  if (path.empty() && env("AIO_TRACE").empty() && env("AIO_REPORT").empty()) return nullptr;
+  static std::atomic<int> instances{0};
+  if (slot < 0) slot = instances++;
   Config cfg;
-  if (path_set) {
-    static std::atomic<int> instances{0};
-    const int ordinal = slot >= 0 ? slot + 1 : ++instances;
-    cfg.path =
-        ordinal == 1 ? std::string(path) : std::string(path) + "." + std::to_string(ordinal);
-  }
+  if (!path.empty()) cfg.path = numbered_path(path, slot);
   return std::make_unique<Journal>(std::move(cfg));
+}
+
+std::string numbered_path(const std::string& base, int slot) {
+  return slot <= 0 ? base : base + "." + std::to_string(slot + 1);
 }
 
 bool Journal::write() const { return config_.path.empty() ? true : write(config_.path); }

@@ -1,17 +1,18 @@
 // Compact binary run journal.
 //
-// The trace sink (obs/trace.hpp) answers "what happened, for a human in a
-// viewer"; the journal answers "what happened, for a program".  Instrumented
-// layers append fixed-size POD records — writer lifecycle, per-OST state
-// transitions, MDS service, steal grant→migration→completion chains — behind
-// the same null-by-default pointer discipline as `TraceSink`: an engine
-// without a journal costs one pointer test per site and records nothing.
+// The journal is the lossless record of what happened, for a program.
+// Instrumented layers emit fixed-size POD records — writer lifecycle,
+// per-OST state transitions, MDS service, steal grant->migration->completion
+// chains — once each, through the engine's record bus (obs/recorder.hpp);
+// the journal is one of its subscribers.  Every offline view derives from
+// it: the aio-report-v1 analysis, the critical path, and the Chrome trace
+// (obs/trace_export.hpp renders `AIO_TRACE` from the journal).
 //
 // Appends are allocation-free in steady state (a POD push into reserved
 // vector capacity; growth is amortized doubling from an up-front reserve),
 // so journaling stays inside the hot-path budgets test_alloc_guard enforces.
-// The buffer is bounded like the trace sink: past `max_records` new records
-// are counted as dropped, never recorded.
+// The buffer is bounded: past `max_records` new records are counted as
+// dropped, never recorded.
 //
 // The on-disk format is a small header plus the raw record array (see
 // `write`); `load` reads it back for offline analysis (tools/aio_report).
@@ -68,8 +69,9 @@ enum class Mark : std::uint8_t {
 ///   kWriterEnd     id=writer u0=file
 ///   kOstState      id=ost  u0=m_dirty a=cache_full
 ///                  v0=efficiency v1=net_load v2=disk_load
-///   kMdsOp         id=mds a=op kind u0=backlog_behind u1=batched_behind
-///                  v0=service_s
+///   kMdsOp         id=mds a=op kind (fs::MetadataServer::OpKind: 0 open,
+///                  1 close, 2 stat, 3 create) u0=backlog_behind
+///                  u1=batched_behind v0=service_s
 ///   kStealGrant    id=grant_seq u0=source_group u1=target_file
 ///                  v0=offset v1=source_queue_depth
 ///   kStealComplete id=grant_seq u0=source_group u1=target_file u2=writer
@@ -100,10 +102,12 @@ class Journal {
 
   explicit Journal(Config config);
 
-  /// Builds a journal when `AIO_JOURNAL` (file destination) or `AIO_REPORT`
-  /// (in-process analysis) is set; nullptr when both are unset.  Numbered
-  /// paths for multi-machine processes follow TraceSink::from_env: slot k
-  /// writes `<path>.k+1`, the -1 default numbers journals in creation order.
+  /// Builds a journal when `AIO_JOURNAL` (file destination), `AIO_REPORT`
+  /// (in-process analysis) or `AIO_TRACE` (Chrome trace rendered from the
+  /// journal by the end-of-run hook, obs::flush_report) is set; nullptr when
+  /// all three are unset.  Without `AIO_JOURNAL` the journal stays in
+  /// memory.  A process hosting several machines numbers their paths (see
+  /// numbered_path); the -1 default numbers journals in creation order.
   [[nodiscard]] static std::unique_ptr<Journal> from_env(int slot = -1);
 
   /// Appends one record; bounded by `max_records`, excess is counted.
@@ -140,6 +144,11 @@ class Journal {
   std::size_t dropped_ = 0;
   std::uint32_t runs_ = 0;
 };
+
+/// Output path of machine `slot` (>= 0) in a process hosting several: slot 0
+/// writes the bare `base`, slot k writes `<base>.k+1`.  Every AIO_* output
+/// path is numbered this way.
+[[nodiscard]] std::string numbered_path(const std::string& base, int slot);
 
 /// Canonical merge of per-shard journals (sharded runs keep one journal per
 /// shard engine): every part's records, ordered by timestamp, then record

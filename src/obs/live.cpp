@@ -51,7 +51,7 @@ std::unique_ptr<LivePlane> LivePlane::from_env(int slot) {
   const bool live_set = live && *live;
   const bool flight_set = flight && *flight;
   if (!live_set && !flight_set) return nullptr;
-  // Numbered paths per machine, same scheme as TraceSink/Journal::from_env.
+  // Numbered paths per machine, same scheme as Journal::from_env.
   static std::atomic<int> instances{0};
   const int ordinal = slot >= 0 ? slot + 1 : ++instances;
   const auto numbered = [ordinal](const char* p) {

@@ -19,10 +19,10 @@
 //   * run-level timing: CoV over a bounded ring of recent run times and p99
 //     from an `obs::Histogram` log-bucket sketch.
 //
-// The plane hangs off the engine as a fourth null-by-default observability
-// hook (alongside trace/metrics/journal): emission sites build one `Record`
-// and hand it to journal and/or live plane, so an engine without a plane
-// pays one pointer test per site.  `ingest()` is allocation-free in steady
+// The plane subscribes to the engine's record bus (obs/recorder.hpp):
+// emission sites build one `Record` and emit it once, the recorder hands it
+// to every attached subscriber, and an engine without observers pays one
+// pointer test per site.  `ingest()` is allocation-free in steady
 // state — all per-run state lives in vectors grown during the first (warm-
 // up) run and reused thereafter — keeping the plane inside the hot-path
 // budgets tests/test_alloc_guard enforces.
@@ -129,7 +129,7 @@ class LivePlane {
   /// or `AIO_FLIGHT` (flight-recorder dump path) is set; nullptr when both
   /// are unset.  Knobs AIO_LIVE_PERIOD_S / AIO_LIVE_WINDOW_S /
   /// AIO_LIVE_SLOTS / AIO_FLIGHT_RECORDS parse strictly (obs/env.hpp).
-  /// Paths are numbered per machine like TraceSink::from_env: slot k writes
+  /// Paths are numbered per machine like Journal::from_env: slot k writes
   /// `<path>.k+1`, the -1 default numbers planes in creation order.
   [[nodiscard]] static std::unique_ptr<LivePlane> from_env(int slot = -1);
 

@@ -2,19 +2,13 @@
 
 namespace aio::obs {
 
-void Sampler::add_probe(std::string name, Probe probe, std::uint32_t trace_pid) {
-  Series& series = registry_.series(name);
-  probes_.push_back(Entry{&series, std::move(name), trace_pid, std::move(probe)});
+void Sampler::add_probe(std::string name, Probe probe) {
+  probes_.push_back(Entry{&registry_.series(name), std::move(probe)});
 }
 
 void Sampler::tick(double now) {
   ++ticks_;
-  for (Entry& p : probes_) {
-    const double v = p.probe(now);
-    p.series->add(now, v);
-    if (trace_ && trace_->wants(kCatSampler))
-      trace_->counter(kCatSampler, p.pid, now, p.name, v);
-  }
+  for (Entry& p : probes_) p.series->add(now, p.probe(now));
 }
 
 }  // namespace aio::obs

@@ -15,7 +15,6 @@
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
 #include "core/protocol/writer_fsm.hpp"
-#include "obs/trace.hpp"
 
 namespace aio::runtime {
 
@@ -105,16 +104,8 @@ struct SharedState {
   GlobalIndex global_index;
   std::uint64_t steals = 0;
 
-  // Wall-clock origin for trace timestamps.
-  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
-
   SharedState(Topology t, ThreadRunConfig c)
       : topo(t), cfg(std::move(c)), roles_remaining(t.n_writers() + t.n_groups() + 1) {}
-
-  /// Seconds of wall-clock since the run began (trace timebase).
-  [[nodiscard]] double wall() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  }
 
   void send(Rank to, Message msg) { mailboxes[static_cast<std::size_t>(to)]->push(std::move(msg)); }
 
@@ -231,20 +222,7 @@ class RankThread {
 
   void dispatch_self(Actions actions) { execute(std::move(actions)); }
 
-  // Returns the config's trace sink pre-gated on the runtime category.
-  [[nodiscard]] obs::TraceSink* trace() const {
-    obs::TraceSink* t = shared_.cfg.trace;
-    return t && t->wants(obs::kCatRuntime) ? t : nullptr;
-  }
-
   void do_data_write(const StartWriteAction& w) {
-    if (obs::TraceSink* t = trace()) {
-      t->begin(obs::kCatRuntime, obs::kPidRuntime, static_cast<std::uint32_t>(rank_),
-               shared_.wall(), "write",
-               {{"file", obs::Json(static_cast<double>(w.file))},
-                {"offset", obs::Json(w.offset)},
-                {"bytes", obs::Json(w.bytes)}});
-    }
     if (shared_.cfg.write_delay) {
       const double delay = shared_.cfg.write_delay(rank_);
       if (delay > 0.0)
@@ -255,34 +233,16 @@ class RankThread {
     shared_.files[static_cast<std::size_t>(w.file)]->pwrite(
         static_cast<std::uint64_t>(w.offset), payload.data(), payload.size());
     shared_.total_bytes.fetch_add(w.bytes);
-    if (obs::TraceSink* t = trace()) {
-      t->end(obs::kCatRuntime, obs::kPidRuntime, static_cast<std::uint32_t>(rank_),
-             shared_.wall());
-    }
   }
 
   void do_index_write(const WriteIndexAction& wi) {
-    if (obs::TraceSink* t = trace()) {
-      t->begin(obs::kCatRuntime, obs::kPidRuntime, static_cast<std::uint32_t>(rank_),
-               shared_.wall(), "index_write",
-               {{"file", obs::Json(static_cast<double>(wi.file))},
-                {"bytes", obs::Json(wi.bytes)}});
-    }
     const auto bytes = sc_->file_index().serialize();
     DataFile& file = *shared_.files[static_cast<std::size_t>(wi.file)];
     file.pwrite(static_cast<std::uint64_t>(wi.offset), bytes.data(), bytes.size());
     append_footer(file, static_cast<std::uint64_t>(wi.offset), bytes.size());
-    if (obs::TraceSink* t = trace()) {
-      t->end(obs::kCatRuntime, obs::kPidRuntime, static_cast<std::uint32_t>(rank_),
-             shared_.wall());
-    }
   }
 
   void do_global_index_write() {
-    if (obs::TraceSink* t = trace()) {
-      t->begin(obs::kCatRuntime, obs::kPidRuntime, static_cast<std::uint32_t>(rank_),
-               shared_.wall(), "global_index_write");
-    }
     const std::lock_guard<std::mutex> lock(shared_.result_mu);
     // The coordinator is done with its copy; move it out instead of
     // duplicating every block record at the peak-memory moment of the run.
@@ -292,10 +252,6 @@ class RankThread {
     DataFile master(shared_.cfg.directory / "master.aidx");
     master.pwrite(0, bytes.data(), bytes.size());
     master.close();
-    if (obs::TraceSink* t = trace()) {
-      t->end(obs::kCatRuntime, obs::kPidRuntime, static_cast<std::uint32_t>(rank_),
-             shared_.wall());
-    }
   }
 
   SharedState& shared_;

@@ -22,10 +22,6 @@
 #include "core/index/index.hpp"
 #include "core/transports/layout.hpp"
 
-namespace aio::obs {
-class TraceSink;
-}  // namespace aio::obs
-
 namespace aio::runtime {
 
 struct ThreadRunConfig {
@@ -36,10 +32,6 @@ struct ThreadRunConfig {
   /// Optional artificial per-rank write delay (tests use it to force
   /// stealing): seconds slept inside the data write.
   std::function<double(core::Rank)> write_delay;
-  /// Optional trace sink (Cat::Runtime): data/index writes become spans on
-  /// wall-clock timestamps relative to the run's start.  The sink is
-  /// thread-safe; it must outlive the run.
-  obs::TraceSink* trace = nullptr;
 };
 
 struct ThreadRunResult {

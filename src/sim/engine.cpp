@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.hpp"
 #include "sim/dary_heap.hpp"
 
 namespace aio::sim {
@@ -86,19 +85,10 @@ void Engine::fire(const Node& n) {
   now_ = n.time;
   ++steps_;
   Slot& s = slot(n.slot);
-  const bool daemon = s.daemon;
   // Move the callback out before releasing: the callback may schedule new
   // events, reusing (or growing past) this very slot.
   Callback cb = std::move(s.cb);
   release(n.slot);
-  // Per-dispatch tracing is opt-in (Cat::Engine is off by default): one
-  // instant per event multiplies trace volume by the total step count.
-  if (trace_ && trace_->wants(obs::kCatEngine)) {
-    trace_->instant(obs::kCatEngine, obs::kPidEngine, daemon ? 2 : 1, now_,
-                    "dispatch",
-                    {{"step", obs::Json(static_cast<double>(steps_))},
-                     {"pending", obs::Json(static_cast<double>(pending()))}});
-  }
   cb();
 }
 

@@ -28,10 +28,7 @@
 #include "sim/inplace_function.hpp"
 
 namespace aio::obs {
-class TraceSink;
-class Registry;
-class Journal;
-class LivePlane;
+class Recorder;
 }  // namespace aio::obs
 
 namespace aio::sim {
@@ -62,27 +59,15 @@ class Engine {
   // 80-byte fs completion callback.
   using Callback = InplaceFunction<void(), 96>;
 
-  /// An engine optionally carries observability hooks: a trace sink, a
-  /// metrics registry, a run journal, and a live telemetry plane, all null
-  /// by default.  Everything built on top of the engine (file system,
-  /// transports, MDS) reaches them through `trace()` / `metrics()` /
-  /// `journal()` / `live()`, so one injection point instruments the whole
-  /// stack and a null pointer keeps every layer on its untraced fast path.
-  explicit Engine(obs::TraceSink* trace = nullptr, obs::Registry* metrics = nullptr,
-                  obs::Journal* journal = nullptr, obs::LivePlane* live = nullptr)
-      : trace_(trace), metrics_(metrics), journal_(journal), live_plane_(live) {}
+  /// An engine optionally carries one observer: the record bus
+  /// (obs/recorder.hpp), null by default.  Everything built on top of the
+  /// engine (file system, transports, MDS) emits its records through
+  /// `recorder()`, so one injection point instruments the whole stack and a
+  /// null pointer keeps every layer on its unobserved fast path.
+  explicit Engine(obs::Recorder* recorder = nullptr) : recorder_(recorder) {}
 
-  [[nodiscard]] obs::TraceSink* trace() const { return trace_; }
-  [[nodiscard]] obs::Registry* metrics() const { return metrics_; }
-  [[nodiscard]] obs::Journal* journal() const { return journal_; }
-  [[nodiscard]] obs::LivePlane* live() const { return live_plane_; }
-  /// True when a journal or live plane is attached — the one-load gate the
-  /// record-emitting hot paths (Ost::recompute) test per call.
-  [[nodiscard]] bool observing_records() const { return journal_ || live_plane_; }
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
-  void set_metrics(obs::Registry* metrics) { metrics_ = metrics; }
-  void set_journal(obs::Journal* journal) { journal_ = journal; }
-  void set_live(obs::LivePlane* live) { live_plane_ = live; }
+  [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
+  void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   /// Current simulated time.  Starts at zero.
   [[nodiscard]] Time now() const { return now_; }
@@ -194,10 +179,7 @@ class Engine {
   std::uint32_t next_seq_ = 0;
   std::size_t steps_ = 0;
   std::size_t normal_pending_ = 0;
-  obs::TraceSink* trace_ = nullptr;
-  obs::Registry* metrics_ = nullptr;
-  obs::Journal* journal_ = nullptr;
-  obs::LivePlane* live_plane_ = nullptr;
+  obs::Recorder* recorder_ = nullptr;
 };
 
 }  // namespace aio::sim

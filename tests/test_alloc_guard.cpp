@@ -37,6 +37,7 @@
 #include "net/network.hpp"
 #include "obs/journal.hpp"
 #include "obs/prof.hpp"
+#include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -185,7 +186,8 @@ TEST(AllocGuard, JournalAppendIsAllocationFree) {
 TEST(AllocGuard, OstWriteCycleWithJournalIsAllocationFree) {
   obs::Journal journal({/*path=*/"", /*max_records=*/1u << 16});
   journal.reserve(1u << 16);
-  sim::Engine engine(nullptr, nullptr, &journal);
+  obs::Recorder recorder(&journal);
+  sim::Engine engine(&recorder);
   fs::Ost ost(engine, fs::Ost::Config{}, 0);
   const auto burst = [&] {
     for (int i = 0; i < 8; ++i)
@@ -369,7 +371,8 @@ TEST(AllocGuard, AdaptiveRunSetupAllocsScaleLinearly) {
 TEST(AllocGuard, MdsCreateStormStaysWithinQueueChunkBudget) {
   obs::Journal journal({/*path=*/"", /*max_records=*/1u << 16});
   journal.reserve(1u << 16);
-  sim::Engine engine(nullptr, nullptr, &journal);
+  obs::Recorder recorder(&journal);
+  sim::Engine engine(&recorder);
   fs::MetadataServer mds(engine, fs::MetadataServer::Config{});
   const auto burst = [&] {
     for (int i = 0; i < 256; ++i)

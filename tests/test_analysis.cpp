@@ -17,6 +17,7 @@
 #include "net/network.hpp"
 #include "obs/analysis.hpp"
 #include "obs/journal.hpp"
+#include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 #include "stats/summary.hpp"
 
@@ -39,7 +40,8 @@ double num_at(const obs::Json& doc, std::initializer_list<const char*> path) {
 /// its file once done with its own.
 struct TwoOstRig {
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
-  sim::Engine engine{nullptr, nullptr, &journal};
+  obs::Recorder recorder{&journal};
+  sim::Engine engine{&recorder};
   fs::FileSystem filesystem;
   net::Network network;
   core::AdaptiveTransport transport;

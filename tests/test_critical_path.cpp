@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "obs/analysis.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/journal.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/engine.hpp"
 
@@ -137,7 +139,8 @@ TEST(CriticalPath, JsonCarriesAnchorSegmentsAndTotals) {
 /// opens so the close phase has metadata to attribute.
 struct TwoOstRig {
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
-  sim::Engine engine{nullptr, nullptr, &journal};
+  obs::Recorder recorder{&journal};
+  sim::Engine engine{&recorder};
   fs::FileSystem filesystem;
   net::Network network;
   core::AdaptiveTransport transport;
@@ -311,6 +314,37 @@ TEST(TraceExport, JournalTraceRebuildsWriterAndStorageTracks) {
   // Run-phase instants and per-OST external-load counters are present.
   EXPECT_EQ(count_events(trace, "i", "complete"), 1u);
   EXPECT_GT(count_events(trace, "C", ""), 0u);
+
+  // Storage tracks: one dirty-stream and one efficiency sample per change of
+  // an OST's dirty-stream count, one instant per cache_full edge.  MDS
+  // tracks: one span per kMdsOp, named by op kind, plus a backlog sample.
+  std::size_t dirty_changes = 0, cache_edges = 0, opens = 0, closes = 0;
+  std::map<std::uint32_t, std::pair<std::uint32_t, std::uint8_t>> last;  // m_dirty, cache_full
+  for (const obs::Record& r : rig.journal.records()) {
+    if (r.kind == obs::Rec::kMdsOp) (r.a == 0 ? opens : closes) += 1;
+    if (r.kind != obs::Rec::kOstState) continue;
+    auto& [m_dirty, full] = last[r.id];
+    if (r.u0 != m_dirty) ++dirty_changes;
+    if (r.a != full) ++cache_edges;
+    m_dirty = r.u0;
+    full = r.a;
+  }
+  std::size_t dirty_samples = 0, eff_samples = 0, cache_instants = 0;
+  for (std::uint32_t o = 0; o < 2; ++o) {
+    const std::string ost = "ost" + std::to_string(o);
+    dirty_samples += count_events(trace, "C", ost + ".dirty_streams");
+    eff_samples += count_events(trace, "C", ost + ".efficiency");
+    cache_instants += count_events(trace, "i", ost + ".cache_full") +
+                      count_events(trace, "i", ost + ".cache_drained");
+  }
+  EXPECT_GT(dirty_changes, 0u);
+  EXPECT_EQ(dirty_samples, dirty_changes);
+  EXPECT_EQ(eff_samples, dirty_changes);
+  EXPECT_EQ(cache_instants, cache_edges);
+  EXPECT_GT(opens, 0u);
+  EXPECT_EQ(count_events(trace, "B", "mds.open", static_cast<int>(obs::kPidMds)), opens);
+  EXPECT_EQ(count_events(trace, "B", "mds.close", static_cast<int>(obs::kPidMds)), closes);
+  EXPECT_EQ(count_events(trace, "C", "mds.backlog"), opens + closes);
   // The document is valid JSON end to end.
   EXPECT_TRUE(obs::Json::parse(trace.dump()).has_value());
 }

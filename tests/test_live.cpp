@@ -20,6 +20,7 @@
 #include "obs/analysis.hpp"
 #include "obs/journal.hpp"
 #include "obs/live.hpp"
+#include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -78,7 +79,8 @@ double num_at(const obs::Json& doc, std::initializer_list<const char*> path) {
 struct LiveRig {
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
   obs::LivePlane live;
-  sim::Engine engine{nullptr, nullptr, &journal, &live};
+  obs::Recorder recorder{&journal, &live};
+  sim::Engine engine{&recorder};
   fs::FileSystem filesystem;
   net::Network network;
   core::AdaptiveTransport transport;

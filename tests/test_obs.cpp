@@ -1,26 +1,32 @@
 // Tests for the observability layer: JSON round-trips, counter/gauge/series
-// semantics, trace span bookkeeping, sampler accuracy against a hand-solved
-// OST drain, and the protocol instrumentation agreeing with IoResult.
+// semantics, the journal-rendered Chrome trace, sampler accuracy against a
+// hand-solved OST drain, record-derived metrics, and the protocol
+// instrumentation agreeing with IoResult.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
 #include "fs/filesystem.hpp"
 #include "fs/ost.hpp"
 #include "net/network.hpp"
+#include "obs/analysis.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace.hpp"
+#include "obs/trace_export.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -261,93 +267,119 @@ TEST(MergeRecords, ResultDependsOnlyOnTheMultiset) {
   EXPECT_EQ(base[4].kind, obs::Rec::kProfShard);
 }
 
-// --- TraceSink ---------------------------------------------------------------
+// --- rendered Chrome trace ----------------------------------------------------
 
-TEST(TraceSink, SpansNestAndRoundTripAsChromeTrace) {
-  obs::TraceSink sink({/*path=*/"", obs::kCatAll, /*max_events=*/1000});
-  sink.begin(obs::kCatProtocol, obs::kPidProtocol, 7, 1.0, "outer",
-             {{"file", obs::Json(3.0)}});
-  sink.begin(obs::kCatProtocol, obs::kPidProtocol, 7, 1.5, "inner");
-  sink.end(obs::kCatProtocol, obs::kPidProtocol, 7, 2.0);
-  sink.end(obs::kCatProtocol, obs::kPidProtocol, 7, 3.0);
-  sink.instant(obs::kCatProtocol, obs::kPidProtocol, 7, 2.5, "mark");
-  sink.counter(obs::kCatStorage, obs::kPidStorage, 2.75, "depth", 4.0);
+/// Events of a trace document with phase `ph` whose name starts with
+/// `prefix` (empty = any).
+std::size_t count_events(const obs::Json& trace, const char* ph, const std::string& prefix = {}) {
+  std::size_t n = 0;
+  for (const obs::Json& e : trace.find("traceEvents")->items()) {
+    if (e.find("ph")->str() != ph) continue;
+    const obs::Json* name = e.find("name");
+    if (!prefix.empty() && (!name || name->str().rfind(prefix, 0) != 0)) continue;
+    ++n;
+  }
+  return n;
+}
 
-  EXPECT_EQ(sink.count('B'), 2u);
-  EXPECT_EQ(sink.count('E'), 2u);
-  EXPECT_EQ(sink.count('i', "mark"), 1u);
-  EXPECT_EQ(sink.count('C', "depth"), 1u);
+TEST(TraceExport, RenderedTraceRoundTripsAsChromeTrace) {
+  obs::Journal journal{{/*path=*/"", /*max_records=*/16}};
+  const auto add = [&journal](obs::Rec kind, double t, std::uint32_t id, std::uint32_t u0,
+                              std::uint8_t a, double v0) {
+    obs::Record r;
+    r.kind = kind;
+    r.t = t;
+    r.id = id;
+    r.u0 = u0;
+    r.a = a;
+    r.v0 = v0;
+    journal.append(r);
+  };
+  add(obs::Rec::kMdsOp, 0.5, 0, 2, /*Open*/ 0, /*service_s=*/0.25);
+  // Writer 6 renders on thread 7 (thread 0 is the run track).
+  add(obs::Rec::kWriterStart, 1.0, 6, /*file=*/3, 0, /*bytes=*/4096.0);
+  add(obs::Rec::kOstState, 1.5, 2, /*m_dirty=*/3, /*cache_full=*/1, /*efficiency=*/0.9);
+  add(obs::Rec::kOstState, 2.5, 2, /*m_dirty=*/3, /*cache_full=*/0, /*efficiency=*/0.9);
+  add(obs::Rec::kWriterEnd, 3.0, 6, 3, 0, 0.0);
 
-  std::ostringstream out;
-  sink.write(out);
-  const std::optional<obs::Json> doc = obs::Json::parse(out.str());
-  ASSERT_TRUE(doc.has_value()) << out.str();
-  const obs::Json* events = doc->find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  // 6 recorded events + the 5 pre-named process-metadata records.
-  EXPECT_EQ(events->size(), 6u + 5u);
-  // Timestamps are simulated seconds in microseconds.
-  bool saw_outer = false;
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const obs::Json& e = events->at(i);
-    if (const obs::Json* name = e.find("name"); name && name->dump() == "\"outer\"") {
-      saw_outer = true;
+  // The streamed file and the in-memory document carry the same events.
+  const std::string path = ::testing::TempDir() + "rendered_trace.json";
+  ASSERT_TRUE(obs::write_journal_trace(journal, path));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  const std::optional<obs::Json> doc = obs::Json::parse(text.str());
+  ASSERT_TRUE(doc.has_value()) << text.str();
+  EXPECT_EQ(doc->dump(), obs::journal_trace(journal).dump());
+
+  // Four track groups plus the ost2 and mds0 threads.
+  EXPECT_EQ(count_events(*doc, "M"), 6u);
+  EXPECT_EQ(count_events(*doc, "B"), count_events(*doc, "E"));
+  // Storage: cache edges as instants, the dirty-stream count and drain
+  // efficiency as counters on transitions only, external load every record.
+  EXPECT_EQ(count_events(*doc, "i", "ost2.cache_full"), 1u);
+  EXPECT_EQ(count_events(*doc, "i", "ost2.cache_drained"), 1u);
+  EXPECT_EQ(count_events(*doc, "C", "ost2.dirty_streams"), 1u);
+  EXPECT_EQ(count_events(*doc, "C", "ost2.efficiency"), 1u);
+  EXPECT_EQ(count_events(*doc, "C", "ost2 ext"), 2u);
+  EXPECT_EQ(count_events(*doc, "C", "mds.backlog"), 1u);
+  // Timestamps are simulated seconds in microseconds; the MDS span lasts its
+  // service time.
+  for (const obs::Json& e : doc->find("traceEvents")->items()) {
+    const obs::Json* name = e.find("name");
+    if (name && name->str() == "write") {
       EXPECT_EQ(e.find("ts")->dump(), "1000000");
       EXPECT_EQ(e.find("pid")->dump(), "2");
       EXPECT_EQ(e.find("tid")->dump(), "7");
+      EXPECT_EQ(e.find("args")->find("file")->dump(), "3");
+    } else if (name && name->str() == "mds.open") {
+      EXPECT_EQ(e.find("ts")->dump(), "500000");
+      EXPECT_EQ(e.find("pid")->dump(), "4");
+    } else if (e.find("ph")->str() == "E" && e.find("pid")->dump() == "4") {
+      EXPECT_EQ(e.find("ts")->dump(), "750000");
+    } else if (name && name->str() == "ost2.dirty_streams") {
+      EXPECT_EQ(e.find("args")->find("value")->dump(), "3");
     }
   }
-  EXPECT_TRUE(saw_outer);
+  EXPECT_EQ(count_events(*doc, "B", "write"), 1u);
+  EXPECT_EQ(count_events(*doc, "B", "mds.open"), 1u);
 }
 
-TEST(TraceSink, FiltersCategoriesAndCountsDrops) {
-  obs::TraceSink sink({/*path=*/"", obs::kCatProtocol, /*max_events=*/3});
-  EXPECT_TRUE(sink.wants(obs::kCatProtocol));
-  EXPECT_FALSE(sink.wants(obs::kCatStorage));
-  sink.instant(obs::kCatStorage, obs::kPidStorage, 0, 0.0, "ignored");
-  EXPECT_EQ(sink.events(), 0u);  // wrong category records nothing
-  for (int i = 0; i < 5; ++i)
-    sink.instant(obs::kCatProtocol, obs::kPidProtocol, 0, static_cast<double>(i), "m");
-  EXPECT_EQ(sink.events(), 3u);
-  EXPECT_EQ(sink.dropped(), 2u);
+// AIO_TRACE alone arms an in-memory journal whose end-of-run hook renders
+// the trace to the path numbered per slot; AIO_JOURNAL adds the binary file.
+TEST(TraceExport, TraceEnvArmsAJournalAndFlushRendersIt) {
+  for (const char* v : {"AIO_TRACE", "AIO_JOURNAL", "AIO_REPORT"}) unsetenv(v);
+  EXPECT_EQ(obs::Journal::from_env(0), nullptr);
 
-  // The written document carries the loss metadata, so a truncated trace is
-  // never mistaken for a complete one.
-  std::ostringstream out;
-  sink.write(out);
-  const std::optional<obs::Json> doc = obs::Json::parse(out.str());
-  ASSERT_TRUE(doc.has_value());
-  const obs::Json* other = doc->find("otherData");
-  ASSERT_NE(other, nullptr);
-  EXPECT_DOUBLE_EQ(other->find("dropped")->number(), 2.0);
-  EXPECT_DOUBLE_EQ(other->find("events")->number(), 3.0);
-  EXPECT_DOUBLE_EQ(other->find("categories")->number(),
-                   static_cast<double>(obs::kCatProtocol));
+  const std::string trace = ::testing::TempDir() + "env_trace.json";
+  setenv("AIO_TRACE", trace.c_str(), 1);
+  const auto journal = obs::Journal::from_env(0);
+  ASSERT_NE(journal, nullptr);
+  EXPECT_TRUE(journal->config().path.empty());  // in memory: no AIO_JOURNAL
 
-  // publish_drops mirrors the count into the registry exactly once per drop,
-  // however many times a flush path calls it.
-  obs::Registry reg;
-  sink.publish_drops(reg);
-  sink.publish_drops(reg);
-  EXPECT_EQ(reg.counter("obs.trace.dropped").value(), 2u);
-  sink.instant(obs::kCatProtocol, obs::kPidProtocol, 0, 9.0, "m");  // drops a 3rd
-  sink.publish_drops(reg);
-  EXPECT_EQ(reg.counter("obs.trace.dropped").value(), 3u);
-}
+  obs::Record r;
+  r.kind = obs::Rec::kWriterStart;
+  r.t = 0.5;
+  journal->append(r);
+  EXPECT_EQ(obs::numbered_path(trace, 1), trace + ".2");
+  for (int slot : {0, 1}) {
+    ASSERT_TRUE(obs::flush_report(*journal, slot));
+    const std::string path = obs::numbered_path(trace, slot);
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::optional<obs::Json> doc = obs::Json::parse(text.str());
+    ASSERT_TRUE(doc.has_value()) << path << ": " << text.str();
+    EXPECT_EQ(count_events(*doc, "B", "write"), 1u);
+    std::remove(path.c_str());
+  }
 
-TEST(TraceSink, DefaultCategoriesExcludeEngineDispatch) {
-  obs::TraceSink sink({/*path=*/"", obs::kCatDefault, /*max_events=*/1000});
-  obs::Registry reg;
-  sim::Engine engine(&sink, &reg);
-  engine.schedule_at(1.0, [] {});
-  engine.run();
-  EXPECT_EQ(sink.count('i', "dispatch"), 0u);
-
-  obs::TraceSink all({/*path=*/"", obs::kCatAll, /*max_events=*/1000});
-  sim::Engine loud(&all, &reg);
-  loud.schedule_at(1.0, [] {});
-  loud.run();
-  EXPECT_EQ(all.count('i', "dispatch"), 1u);
+  setenv("AIO_JOURNAL", "run.journal", 1);
+  const auto both = obs::Journal::from_env(2);
+  ASSERT_NE(both, nullptr);
+  EXPECT_EQ(both->config().path, "run.journal.3");
+  for (const char* v : {"AIO_TRACE", "AIO_JOURNAL"}) unsetenv(v);
 }
 
 // --- Sampler vs hand-computed OST drain --------------------------------------
@@ -357,7 +389,7 @@ TEST(TraceSink, DefaultCategoriesExcludeEngineDispatch) {
 // t=1 (occupancy 900), then drains at 100 B/s, empty (and done) at t=10.
 TEST(Sampler, PerOstSeriesMatchesFluidModel) {
   obs::Registry reg;
-  sim::Engine engine(nullptr, &reg);
+  sim::Engine engine;
   fs::Ost::Config cfg;
   cfg.ingest_bw = 1000.0;
   cfg.disk_bw = 100.0;
@@ -368,7 +400,7 @@ TEST(Sampler, PerOstSeriesMatchesFluidModel) {
   cfg.op_latency_s = 0.0;
   fs::Ost ost(engine, cfg);
 
-  obs::Sampler sampler(reg, nullptr, /*period_s=*/0.5);
+  obs::Sampler sampler(reg, /*period_s=*/0.5);
   sampler.add_probe("ost0.cache_occupancy", [&](double) { return ost.cache_occupancy(); });
 
   // Tick at 0.25, 0.75, 1.25, ... — off the model's own breakpoints.
@@ -393,11 +425,10 @@ TEST(Sampler, PerOstSeriesMatchesFluidModel) {
 
 // --- Protocol instrumentation agrees with IoResult ---------------------------
 
-TEST(ProtocolTrace, StealInstantsMatchIoResult) {
-  obs::TraceSink sink({/*path=*/"", obs::kCatDefault, /*max_events=*/200000});
-  obs::Registry reg;
-  sim::Engine engine(&sink, &reg);
-
+/// One 16-writer adaptive collective on a 4-OST rig whose target 0 carries
+/// heavy external load, so its group falls behind and gets stolen from.
+core::IoResult run_loaded_rig(obs::Recorder* recorder) {
+  sim::Engine engine(recorder);
   fs::FsConfig fc;
   fc.n_osts = 4;
   fc.fabric_bw = 0.0;
@@ -413,8 +444,6 @@ TEST(ProtocolTrace, StealInstantsMatchIoResult) {
   fc.mds.close_base_s = 1e-4;
   fs::FileSystem filesystem(engine, fc);
   net::Network network(engine, net::NetConfig{1e-6, 10e9, 8}, 64);
-
-  // Load one target heavily so its group falls behind and gets stolen from.
   filesystem.ost(0).set_load(0.8, 0.8);
 
   core::AdaptiveTransport::Config ac;
@@ -423,30 +452,85 @@ TEST(ProtocolTrace, StealInstantsMatchIoResult) {
   std::optional<core::IoResult> result;
   transport.run(core::IoJob::uniform(16, 8e6), [&](core::IoResult r) { result = std::move(r); });
   engine.run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_GT(result->steals, 0u);
+  EXPECT_TRUE(result.has_value());
+  return result.value_or(core::IoResult{});
+}
 
-  // Every steal completion leaves exactly one instant; every writer opens
+TEST(ProtocolTrace, StealInstantsMatchIoResult) {
+  obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
+  obs::Registry reg;
+  obs::Recorder recorder(&journal, /*live=*/nullptr, &reg);
+  const core::IoResult result = run_loaded_rig(&recorder);
+  EXPECT_GT(result.steals, 0u);
+
+  // Every steal completion renders exactly one instant; every writer opens
   // exactly one data-write span (stolen or not), and all spans close.
-  EXPECT_EQ(sink.count('i', "steal.complete"), result->steals);
-  EXPECT_EQ(sink.count('B', "write"), 16u);
-  EXPECT_EQ(sink.count('B'), sink.count('E'));
-  EXPECT_EQ(reg.counter("protocol.steals").value(), result->steals);
+  const obs::Json trace = obs::journal_trace(journal);
+  EXPECT_EQ(count_events(trace, "i", "steal-complete "), result.steals);
+  EXPECT_EQ(count_events(trace, "B", "write"), 16u);
+  EXPECT_EQ(count_events(trace, "B"), count_events(trace, "E"));
+  // The registry's protocol counters derive from the same records.
+  EXPECT_EQ(reg.counter("protocol.steals").value(), result.steals);
   EXPECT_EQ(reg.counter("protocol.runs").value(), 1u);
-  EXPECT_GE(reg.counter("protocol.steal_grants").value(), result->steals);
+  EXPECT_GE(reg.counter("protocol.steal_grants").value(), result.steals);
+  EXPECT_EQ(reg.gauge("protocol.last_steals").value(), static_cast<double>(result.steals));
+  EXPECT_EQ(reg.histogram("protocol.writer_s").count(), 16u);
+  EXPECT_DOUBLE_EQ(reg.histogram("protocol.run_s").max(), result.t_complete - result.t_begin);
+}
+
+// The cache-full counter derives from kOstState records, so it does not
+// depend on which other observers are attached: a metrics-only recorder
+// counts exactly the 0->1 cache_full edges a journal of the same run holds.
+TEST(RecordMetrics, CacheFullCrossingsNeedNoOtherObserver) {
+  // Two bursts of four 4 MB streams into one OST with a 4 MB cache: each
+  // burst fills the cache, and stream completions and a load change re-emit
+  // the state while it stays full, so records with cache_full set outnumber
+  // the crossings.
+  const auto run = [](obs::Recorder& recorder) {
+    sim::Engine engine(&recorder);
+    fs::Ost::Config cfg;
+    cfg.cache_bytes = 4e6;
+    cfg.ingest_bw = 100e6;
+    cfg.disk_bw = 10e6;
+    fs::Ost ost(engine, cfg, 0);
+    for (int burst = 0; burst < 2; ++burst) {
+      for (int i = 0; i < 4; ++i) ost.write(4e6, fs::Ost::Mode::Durable, [](sim::Time) {});
+      engine.schedule_after(0.5, [&ost] { ost.set_load(0.5, 0.5); });
+      engine.run();
+      ost.set_load(0.0, 0.0);
+    }
+  };
+  obs::Registry reg;
+  obs::Recorder metrics_only(nullptr, nullptr, &reg);
+  run(metrics_only);
+
+  obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 16}};
+  obs::Recorder journal_only(&journal);
+  run(journal_only);
+  std::uint8_t full = 0;
+  std::uint64_t edges = 0, full_records = 0;
+  for (const obs::Record& r : journal.records()) {
+    if (r.kind != obs::Rec::kOstState) continue;
+    if (r.a != 0 && full == 0) ++edges;
+    full_records += r.a;
+    full = r.a;
+  }
+  EXPECT_GT(full_records, edges);
+  EXPECT_EQ(edges, 2u);
+  EXPECT_EQ(reg.counter("storage.cache_full_crossings").value(), edges);
 }
 
 // --- observers never perturb the simulation ---------------------------------
 
 /// Three collectives on a 4-OST rig (Storm opens, two loaded targets, steals
-/// with a real choice of source) under shifting external load, with every
-/// observer attached or none.
+/// with a real choice of source) under shifting external load, with one
+/// recorder carrying every subscriber attached, or none.
 std::vector<core::IoResult> observed_runs(bool observers) {
-  obs::TraceSink trace({/*path=*/"", obs::kCatAll, /*max_events=*/1u << 20});
   obs::Registry metrics;
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
   obs::LivePlane live{obs::LivePlane::Config{}};
-  sim::Engine engine = observers ? sim::Engine{&trace, &metrics, &journal, &live} : sim::Engine{};
+  obs::Recorder recorder(&journal, &live, &metrics);
+  sim::Engine engine(observers ? &recorder : nullptr);
   fs::FsConfig fc;
   fc.n_osts = 4;
   fc.fabric_bw = 0.0;
@@ -476,14 +560,14 @@ std::vector<core::IoResult> observed_runs(bool observers) {
   if (observers) {
     EXPECT_GT(journal.records().size(), 0u);
     EXPECT_EQ(live.runs_completed(), 3u);
-    EXPECT_GT(trace.count('B', "write"), 0u);
+    EXPECT_GT(count_events(obs::journal_trace(journal), "B", "write"), 0u);
     EXPECT_EQ(metrics.counter("protocol.runs").value(), 3u);
   }
   return out;
 }
 
-// No simulated decision reads an observer: a run with journal, live plane,
-// metrics registry and trace sink attached is bit-identical to a bare one.
+// No simulated decision reads an observer: a run whose recorder carries the
+// journal, live plane and metrics registry is bit-identical to a bare one.
 TEST(ObserverPurity, ObserversDoNotPerturbTheRun) {
   const std::vector<core::IoResult> bare = observed_runs(false);
   const std::vector<core::IoResult> watched = observed_runs(true);

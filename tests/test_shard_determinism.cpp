@@ -11,10 +11,12 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/transports/sharded.hpp"
 #include "obs/journal.hpp"
+#include "obs/trace_export.hpp"
 #include "sim/shard.hpp"
 
 namespace {
@@ -375,6 +377,21 @@ TEST(ShardedRun, JournalDoesNotPerturbTheRun) {
     expect_identical_results(plain.result, journaled.result,
                              (testing::Message() << "shards=" << s).GetString().c_str());
   }
+}
+
+TEST(ShardedRun, RenderedTraceIsShardCountInvariant) {
+  // The Chrome trace renders from the canonically merged journal, so a
+  // sharded run is traceable and its trace is byte-identical at any S.
+  const auto rendered = [](std::size_t n_shards) {
+    ShardedAdaptiveSim sim(rig_config(n_shards));
+    (void)sim.run(seeded_job(3));
+    aio::obs::Journal merged{aio::obs::Journal::Config{}};
+    for (const aio::obs::Record& r : sim.merged_records()) merged.append(r);
+    return aio::obs::journal_trace(merged).dump();
+  };
+  const std::string base = rendered(1);
+  EXPECT_NE(base.find("\"name\":\"write\""), std::string::npos);
+  EXPECT_EQ(rendered(4), base);
 }
 
 TEST(ShardedRun, ConvergesToClassicModelAsWindowShrinks) {
