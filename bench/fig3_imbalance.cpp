@@ -11,6 +11,7 @@
 // adjacent pair, and the imbalance factor of every sample — demonstrating
 // both the magnitude and the minutes-timescale transience of the effect.
 #include <algorithm>
+#include <cstdio>
 
 #include "harness.hpp"
 #include "parallel.hpp"
@@ -40,11 +41,16 @@ void print_sample(const char* name, const workload::IorSample& s) {
 }  // namespace
 
 int main() {
+  const std::size_t n_samples = bench::samples_or(24);
+  // Test 1 / Test 2 are an adjacent pair of samples, so a series needs two.
+  if (n_samples < 2) {
+    std::fprintf(stderr, "fig3_imbalance: AIO_BENCH_SAMPLES=%zu, need at least 2\n", n_samples);
+    return 2;
+  }
+
   bench::banner("fig3_imbalance",
                 "Fig. 3(a,b): per-writer write times of two samples minutes apart",
                 "Jaguar, IOR POSIX, 512 writers, 128 MB/process, one writer per OST");
-
-  const std::size_t n_samples = bench::samples_or(24);
 
   bench::Report report("fig3_imbalance", 29);
   report.config("samples", static_cast<double>(n_samples));

@@ -67,10 +67,17 @@ struct OstSeg {
   double ext;  // max(net_load, disk_load) at t
 };
 
+/// Integral of `ext` over [a, b].  Segments are in record (= time) order, so
+/// the scan starts at the last segment with t <= a: every one before it ends
+/// at or before `a` and contributes nothing.  O(log segments + span).
 double integrate_ext(const std::vector<OstSeg>& segs, double a, double b) {
   if (b <= a || segs.empty()) return 0.0;
+  const auto after_a = std::upper_bound(segs.begin(), segs.end(), a,
+                                        [](double t, const OstSeg& s) { return t < s.t; });
+  const std::size_t first =
+      after_a == segs.begin() ? 0 : static_cast<std::size_t>(after_a - segs.begin()) - 1;
   double total = 0.0;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
+  for (std::size_t i = first; i < segs.size(); ++i) {
     if (segs[i].t >= b) break;
     const double hi = std::min(b, i + 1 < segs.size() ? segs[i + 1].t : b);
     const double lo = std::max(a, segs[i].t);

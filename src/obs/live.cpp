@@ -286,15 +286,18 @@ void LivePlane::on_writer_end(const Record& r) {
   cum_.total_s += wait;
 }
 
-double LivePlane::straggler_score(std::uint32_t ost) const {
-  if (ost >= osts_.size()) return 0.0;
-  const OstState& o = osts_[ost];
+double LivePlane::fleet_service_mean() const {
+  return svc_count_ > 0 ? svc_sum_ / static_cast<double>(svc_count_) : 0.0;
+}
+
+double LivePlane::score_of(const OstState& o, double fleet) {
   double score = o.load_ewma;
-  if (svc_count_ > 0 && o.svc_ewma_t >= 0.0) {
-    const double fleet = svc_sum_ / static_cast<double>(svc_count_);
-    if (fleet > 0.0) score += std::max(0.0, o.svc_ewma / fleet - 1.0);
-  }
+  if (o.svc_ewma_t >= 0.0 && fleet > 0.0) score += std::max(0.0, o.svc_ewma / fleet - 1.0);
   return score;
+}
+
+double LivePlane::straggler_score(std::uint32_t ost) const {
+  return ost < osts_.size() ? score_of(osts_[ost], fleet_service_mean()) : 0.0;
 }
 
 LiveWait LivePlane::window() const {
@@ -334,17 +337,22 @@ double LivePlane::steal_benefit_s(std::uint32_t group) const {
   return group < groups_.size() ? groups_[group].est_saved_s : 0.0;
 }
 
-LiveOst LivePlane::ost_view(std::uint32_t ost) const {
+LiveOst LivePlane::row_of(std::uint32_t ost, double score) const {
+  const OstState& o = osts_[ost];
   LiveOst v;
   v.ost = ost;
-  if (ost < osts_.size()) {
-    const OstState& o = osts_[ost];
-    v.load_ewma = o.load_ewma_t >= 0.0 ? o.load_ewma : 0.0;
-    v.service_ewma_s = o.svc_ewma_t >= 0.0 ? o.svc_ewma : 0.0;
-    v.score = straggler_score(ost);
-    v.writes = o.writes;
-    v.m_dirty = o.m_dirty;
-  }
+  v.load_ewma = o.load_ewma_t >= 0.0 ? o.load_ewma : 0.0;
+  v.service_ewma_s = o.svc_ewma_t >= 0.0 ? o.svc_ewma : 0.0;
+  v.score = score;
+  v.writes = o.writes;
+  v.m_dirty = o.m_dirty;
+  return v;
+}
+
+LiveOst LivePlane::ost_view(std::uint32_t ost) const {
+  if (ost < osts_.size()) return row_of(ost, straggler_score(ost));
+  LiveOst v;
+  v.ost = ost;
   return v;
 }
 
@@ -356,14 +364,27 @@ LiveView LivePlane::view(std::size_t top_k) const {
   v.cumulative = cum_;
   v.run_time = run_stats();
   v.steals = steals_;
-  v.stragglers.reserve(osts_.size());
-  for (std::uint32_t i = 0; i < osts_.size(); ++i) v.stragglers.push_back(ost_view(i));
   // Highest score first; ties break on the lower OST id so the ranking is
-  // deterministic (bitwise-stable snapshots depend on it).
-  std::sort(v.stragglers.begin(), v.stragglers.end(), [](const LiveOst& a, const LiveOst& b) {
-    return a.score != b.score ? a.score > b.score : a.ost < b.ost;
-  });
-  if (v.stragglers.size() > top_k) v.stragglers.resize(top_k);
+  // deterministic (bitwise-stable snapshots depend on it).  One pass in id
+  // order keeps the best `top_k` rows sorted: a candidate that does not
+  // beat the current k-th row (a tie loses, its id being higher) is
+  // rejected before its row is built, so a view costs O(n + n log k)
+  // instead of sorting the fleet.
+  const std::size_t k = std::min(top_k, osts_.size());
+  if (k == 0) return v;
+  std::vector<LiveOst>& top = v.stragglers;
+  top.reserve(k + 1);
+  const double fleet = fleet_service_mean();
+  for (std::uint32_t i = 0; i < osts_.size(); ++i) {
+    const double score = score_of(osts_[i], fleet);
+    if (top.size() == k && !(score > top.back().score)) continue;
+    // After the rows already kept with a score >= this one: they all have
+    // lower ids, so this is the (score desc, ost asc) position.
+    const auto at = std::upper_bound(top.begin(), top.end(), score,
+                                     [](double s, const LiveOst& o) { return s > o.score; });
+    top.insert(at, row_of(i, score));
+    if (top.size() > k) top.pop_back();
+  }
   return v;
 }
 

@@ -102,7 +102,7 @@ struct LiveView {
   LiveWait cumulative;
   LiveRunStats run_time;
   LiveSteals steals;
-  std::vector<LiveOst> stragglers;  ///< top-k by score, descending
+  std::vector<LiveOst> stragglers;  ///< top-k by score desc, then OST id asc
 };
 
 class LivePlane {
@@ -159,6 +159,7 @@ class LivePlane {
   [[nodiscard]] double steal_benefit_s(std::uint32_t group) const;
   [[nodiscard]] std::size_t n_osts_seen() const { return osts_.size(); }
   [[nodiscard]] LiveOst ost_view(std::uint32_t ost) const;
+  /// Bounded top-k selection: O(n + n log k) per call, not a fleet sort.
   [[nodiscard]] LiveView view(std::size_t top_k = 8) const;
 
   // --- snapshot export ------------------------------------------------------
@@ -227,6 +228,12 @@ class LivePlane {
   };
 
   void ensure_ost(std::uint32_t id);
+  /// Mean writer service time over the run so far (0 before any write).
+  [[nodiscard]] double fleet_service_mean() const;
+  /// straggler_score() of `o` against a precomputed fleet mean.
+  [[nodiscard]] static double score_of(const OstState& o, double fleet);
+  /// LiveOst row of a known OST whose score is already computed.
+  [[nodiscard]] LiveOst row_of(std::uint32_t ost, double score) const;
   /// Advances the window ring to the slot containing `t`, zeroing skipped
   /// slots.
   LiveWait& slot_at(double t);

@@ -1,5 +1,6 @@
 // Tests for the run journal and its post-run analyzer: the golden 2-OST
-// attribution scenario (one externally loaded target), binary round-trip,
+// attribution scenario (one externally loaded target), the external-load
+// integral over a multi-run OST timeline, binary round-trip,
 // steal provenance, exact agreement between the report's run_time statistics
 // and stats::Summary over IoResult::io_seconds(), and the report differ that
 // gates CI.
@@ -125,6 +126,83 @@ TEST(Analysis, GoldenTwoOstAttribution) {
       report.find("summary")->find("steal_savings")->find("per_source");
   ASSERT_NE(per_source, nullptr);
   EXPECT_GT(per_source->size(), 0u);
+}
+
+// --- external-load integral --------------------------------------------------
+
+TEST(Analysis, ExternalWaitIntegratesFromTheSegmentHoldingAtOpen) {
+  // Hand-written journal: two one-writer runs on one OST whose load timeline
+  // has segments before run 1, between the runs, one straddling run 2's
+  // t_open, and one after run 2's write signal.  The integral over run 2's
+  // queue interval must start at the straddling segment.
+  obs::Journal journal({/*path=*/"", /*max_records=*/64});
+  const auto append = [&](obs::Rec kind, double t, double v0 = 0.0, std::uint8_t a = 0) {
+    obs::Record r;
+    r.kind = kind;
+    r.t = t;
+    r.v0 = v0;
+    r.a = a;
+    journal.append(r);
+  };
+  const auto mark = [&](obs::Mark m, double t) {
+    append(obs::Rec::kRunMark, t, 0.0, static_cast<std::uint8_t>(m));
+  };
+  const auto load = [&](double t, double ext) {
+    obs::Record r;
+    r.kind = obs::Rec::kOstState;  // OST 0
+    r.t = t;
+    r.v1 = ext;  // net_load; the analyzer takes max(net, disk)
+    journal.append(r);
+  };
+  // A one-writer run, in pieces so load changes can land inside it.
+  const auto open_run = [&](double t_begin, double t_open) {
+    obs::Record b;
+    b.kind = obs::Rec::kRunBegin;
+    b.t = t_begin;
+    b.id = journal.begin_run();
+    b.u0 = 1;  // writers
+    b.u1 = 1;  // files
+    b.u2 = 1;  // osts
+    journal.append(b);
+    append(obs::Rec::kFileMap, t_begin);  // file 0 on OST 0
+    mark(obs::Mark::kOpenDone, t_open);
+  };
+  const auto signal = [&](double t) {
+    append(obs::Rec::kWriterSignal, t);  // writer 0, file 0, group 0
+  };
+  const auto write_and_close = [&](double start, double end, double complete) {
+    append(obs::Rec::kWriterStart, start, /*bytes=*/1e6);
+    append(obs::Rec::kWriterEnd, end);
+    mark(obs::Mark::kDataDone, end);
+    mark(obs::Mark::kComplete, complete);
+  };
+  // Records in time order, as an engine emits them.
+  load(0.0, 0.125);  // before run 1
+  open_run(1.0, 2.0);
+  signal(3.0);  // queue [2, 3] at 0.125
+  write_and_close(3.5, 4.0, 4.5);
+  load(6.0, 0.375);   // between the runs
+  load(11.0, 0.5);    // straddles run 2's t_open
+  open_run(11.5, 12.0);
+  load(14.0, 0.25);
+  signal(16.0);       // queue [12, 16]
+  load(16.25, 0.75);  // after the signal: outside the queue interval
+  write_and_close(16.5, 17.0, 17.5);
+  ASSERT_EQ(journal.dropped(), 0u);
+
+  const obs::Json report = obs::analyze(journal);
+  ASSERT_EQ(report.find("runs")->size(), 2u);
+  // Run 2's queue wait: 2 s at 0.5 on the straddling segment, then 2 s at
+  // 0.25.  Starting one segment late would drop the first piece.
+  const double run1_ext = 1.0 * 0.125;
+  const double run2_ext = 2.0 * 0.5 + 2.0 * 0.25;
+  EXPECT_DOUBLE_EQ(num_at(report, {"summary", "attribution", "external_s"}),
+                   run1_ext + run2_ext);
+  EXPECT_DOUBLE_EQ(num_at(report, {"summary", "osts", "ost0", "wait_external_s"}),
+                   run1_ext + run2_ext);
+  // Run 2's critical path adds the service interval [16.5, 17] at 0.75.
+  const obs::Json& cp = *report.find("runs")->at(1).find("critical_path");
+  EXPECT_DOUBLE_EQ(num_at(cp, {"totals", "external_s"}), run2_ext + 0.5 * 0.75);
 }
 
 // --- binary round-trip -------------------------------------------------------

@@ -1,16 +1,19 @@
 // Tests for the online telemetry plane (obs/live.hpp): sliding-window
-// roll-over, straggler-score behavior under a loaded OST, bitwise-stable
+// roll-over, straggler-score behavior under a loaded OST, the top-k
+// straggler ranking against a full sort of the fleet, bitwise-stable
 // snapshots, exact agreement between the live cumulative attribution and the
 // offline analyzer, steady-state allocation freedom, the flight recorder,
 // and AIO_LIVE/AIO_FLIGHT env parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
@@ -280,6 +283,78 @@ TEST(Live, StragglerScoreMonotoneUnderLoad) {
   const obs::LiveView view = rig.live.view();
   ASSERT_GE(view.stragglers.size(), 2u);
   EXPECT_EQ(view.stragglers.front().ost, 1u);
+}
+
+TEST(Live, TopKRankingMatchesFullSortWithTies) {
+  obs::LivePlane::Config lc;
+  lc.flight_records = 0;
+  obs::LivePlane plane(lc);
+  constexpr std::uint32_t kOsts = 24;
+
+  obs::Record begin = rec(obs::Rec::kRunBegin, 0.0);
+  begin.u0 = 6;  // writers
+  begin.u2 = kOsts;
+  plane.ingest(begin);
+  for (std::uint32_t f = 0; f < kOsts; ++f) {  // file f lives on OST f
+    obs::Record m = rec(obs::Rec::kFileMap, 0.0);
+    m.u0 = f;
+    m.u1 = f;
+    plane.ingest(m);
+  }
+  // Exact load ties: three OSTs at 0.75 and six at 0.5, the rest unloaded
+  // or never reported.
+  const auto ost_state = [&](std::uint32_t ost, double load, std::uint32_t m_dirty) {
+    obs::Record r = rec(obs::Rec::kOstState, 1.0);
+    r.id = ost;
+    r.u0 = m_dirty;
+    r.v1 = load;
+    r.v2 = load;
+    plane.ingest(r);
+  };
+  for (const std::uint32_t o : {3u, 9u, 15u}) ost_state(o, 0.75, o % 4);
+  for (const std::uint32_t o : {0u, 6u, 12u, 18u, 21u, 23u}) ost_state(o, 0.5, o % 3);
+  for (const std::uint32_t o : {2u, 5u, 10u}) ost_state(o, 0.0, 1);
+  // Two slow writers (3 s) on OSTs 1 and 4 and four 1 s writers elsewhere:
+  // the fleet mean is 10/6 s, so OSTs 1 and 4 tie on service excess 0.8 and
+  // the others add nothing.
+  const std::pair<std::uint32_t, double> writes[] = {{1, 3.0}, {4, 3.0}, {2, 1.0},
+                                                     {5, 1.0}, {7, 1.0}, {8, 1.0}};
+  for (std::uint32_t w = 0; w < 6; ++w) {
+    obs::Record s = rec(obs::Rec::kWriterStart, 2.0);
+    s.id = w;
+    s.u0 = writes[w].first;
+    plane.ingest(s);
+    obs::Record e = rec(obs::Rec::kWriterEnd, 2.0 + writes[w].second);
+    e.id = w;
+    e.u0 = writes[w].first;
+    plane.ingest(e);
+  }
+  ASSERT_EQ(plane.n_osts_seen(), kOsts);
+
+  std::vector<obs::LiveOst> ref;
+  for (std::uint32_t i = 0; i < kOsts; ++i) ref.push_back(plane.ost_view(i));
+  std::sort(ref.begin(), ref.end(), [](const obs::LiveOst& a, const obs::LiveOst& b) {
+    return a.score != b.score ? a.score > b.score : a.ost < b.ost;
+  });
+  // The cut at k = 8 falls inside the 0.5 tie: 21 and 23 lose on id.
+  const std::vector<std::uint32_t> top8 = {1, 4, 3, 9, 15, 0, 6, 12};
+  for (std::size_t i = 0; i < top8.size(); ++i) EXPECT_EQ(ref[i].ost, top8[i]) << i;
+
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{8},
+                              std::size_t{kOsts}, std::size_t{kOsts + 3}}) {
+    const obs::LiveView v = plane.view(k);
+    ASSERT_EQ(v.stragglers.size(), std::min<std::size_t>(k, kOsts)) << "k=" << k;
+    for (std::size_t i = 0; i < v.stragglers.size(); ++i) {
+      const obs::LiveOst& got = v.stragglers[i];
+      const obs::LiveOst& want = ref[i];
+      EXPECT_EQ(got.ost, want.ost) << "k=" << k << " rank " << i;
+      EXPECT_EQ(got.score, want.score) << "k=" << k << " rank " << i;
+      EXPECT_EQ(got.load_ewma, want.load_ewma) << "k=" << k << " rank " << i;
+      EXPECT_EQ(got.service_ewma_s, want.service_ewma_s) << "k=" << k << " rank " << i;
+      EXPECT_EQ(got.writes, want.writes) << "k=" << k << " rank " << i;
+      EXPECT_EQ(got.m_dirty, want.m_dirty) << "k=" << k << " rank " << i;
+    }
+  }
 }
 
 // --- snapshots ---------------------------------------------------------------
