@@ -10,11 +10,11 @@
 // header keeps the bench-flavoured aliases and the MAX_PROCS sweep helpers.
 #pragma once
 
-#include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +26,14 @@ namespace aio::bench {
 /// Positive integer from the environment; `fallback` when unset or invalid.
 inline std::size_t env_size(const char* name, std::size_t fallback) {
   return obs::env_size(name, fallback);
+}
+
+/// The one-line stderr rejection of a malformed `name`="`v`", printed once
+/// per process per knob (the caller owns the `warned` flag).
+inline void warn_once(bool& warned, const char* name, const char* v, const char* want) {
+  if (warned) return;
+  warned = true;
+  std::fprintf(stderr, "bench: ignoring %s=\"%s\" (want %s)\n", name, v, want);
 }
 
 /// Largest writer count a bench may run, from `AIO_BENCH_MAX_PROCS`.
@@ -78,24 +86,16 @@ inline std::vector<std::size_t> shard_sweep() {
   if (!v || !*v) return {};
   static bool warned = false;
   std::vector<std::size_t> out;
-  const char* p = v;
-  for (;;) {
-    char* end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(p, &end, 10);
-    if (errno != 0 || end == p || parsed <= 0 || (*end != '\0' && *end != ',')) {
-      if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "bench: ignoring AIO_SIM_SHARDS=\"%s\" (want a comma-separated list of "
-                     "positive integers, e.g. 1,2,4,8)\n",
-                     v);
-      }
+  for (const char* p = v;;) {
+    const std::optional<long> n = obs::parse_number<long>(p, &p, ',');
+    if (!n || *n <= 0) {
+      warn_once(warned, "AIO_SIM_SHARDS", v,
+                "a comma-separated list of positive integers, e.g. 1,2,4,8");
       return {};
     }
-    out.push_back(static_cast<std::size_t>(parsed));
-    if (*end == '\0') return out;
-    p = end + 1;
+    out.push_back(static_cast<std::size_t>(*n));
+    if (*p == '\0') return out;
+    ++p;
   }
 }
 
@@ -117,17 +117,10 @@ inline std::size_t positive_size_warn_once(const char* name, std::size_t fallbac
                                            bool& warned) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0' || parsed <= 0) {
-    if (!warned) {
-      warned = true;
-      std::fprintf(stderr, "bench: ignoring %s=\"%s\" (want a positive integer)\n", name, v);
-    }
-    return fallback;
-  }
-  return static_cast<std::size_t>(parsed);
+  const std::optional<long> n = obs::parse_number<long>(v);
+  if (n && *n > 0) return static_cast<std::size_t>(*n);
+  warn_once(warned, name, v, "a positive integer");
+  return fallback;
 }
 
 /// Domain-grid override from `AIO_SIM_DOMAINS`: a positive integer, or 0
@@ -197,11 +190,7 @@ inline ProfEnv prof_env() {
       }
     if (digits_only) {
       static bool warned = false;
-      if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "bench: ignoring AIO_PROF=\"%s\" (want 0, 1, -, or a file path)\n", v);
-      }
+      warn_once(warned, "AIO_PROF", v, "0, 1, -, or a file path");
       return pe;
     }
     pe.path = v;
@@ -209,20 +198,12 @@ inline ProfEnv prof_env() {
   pe.enabled = true;
   const char* period = std::getenv("AIO_PROF_PERIOD_S");
   if (period && *period) {
-    char* end = nullptr;
-    errno = 0;
-    const double parsed = std::strtod(period, &end);
-    if (errno != 0 || end == period || *end != '\0' || !(parsed > 0.0)) {
-      static bool warned = false;
-      if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "bench: ignoring AIO_PROF_PERIOD_S=\"%s\" (want a positive number of "
-                     "seconds)\n",
-                     period);
-      }
+    const std::optional<double> p = obs::parse_number<double>(period);
+    if (p && *p > 0.0) {
+      pe.period_s = *p;
     } else {
-      pe.period_s = parsed;
+      static bool warned = false;
+      warn_once(warned, "AIO_PROF_PERIOD_S", period, "a positive number of seconds");
     }
   }
   return pe;
@@ -236,21 +217,11 @@ inline double window_batch() {
   constexpr double kDefault = 64.0;
   const char* v = std::getenv("AIO_SIM_WINDOW_BATCH");
   if (!v || !*v) return kDefault;
+  const std::optional<double> b = obs::parse_number<double>(v);
+  if (b && *b >= 1.0 && *b <= sim::ShardGroup::kMaxWindowBatch) return *b;
   static bool warned = false;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(v, &end);
-  if (errno != 0 || end == v || *end != '\0' ||
-      !(parsed >= 1.0 && parsed <= sim::ShardGroup::kMaxWindowBatch)) {
-    if (!warned) {
-      warned = true;
-      std::fprintf(stderr,
-                   "bench: ignoring AIO_SIM_WINDOW_BATCH=\"%s\" (want a number in [1, 1e6])\n",
-                   v);
-    }
-    return kDefault;
-  }
-  return parsed;
+  warn_once(warned, "AIO_SIM_WINDOW_BATCH", v, "a number in [1, 1e6]");
+  return kDefault;
 }
 
 }  // namespace aio::bench

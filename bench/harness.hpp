@@ -14,6 +14,14 @@
 //   AIO_BENCH_JSON       writes machine-readable results (bench/report.hpp)
 //   AIO_BENCH_MAX_STEPS  engine-step watchdog: abort (with diagnostics and
 //                        a trace dump) instead of spinning on a hung run
+//   AIO_MDS_COUNT        metadata servers in the tier (default: the spec's
+//                        n_mds, i.e. 1; parsing in bench/env.hpp)
+//
+// The AIO_* observability outputs below apply to every host that runs a
+// simulated machine — bench::Machine, api::Simulation and both macro
+// benches — through one observer host (obs::Observers), which gives each
+// machine's artifacts the same path number:
+//
 //   AIO_TRACE            Chrome trace_event JSON per machine (Perfetto),
 //                        rendered from the machine's journal at flush
 //   AIO_METRICS          metrics registry JSON per machine
@@ -31,11 +39,8 @@
 //   AIO_FLIGHT           flight recorder: bounded journal ring dumped to this
 //                        path on watchdog abort (readable by tools/aio_report)
 //   AIO_FLIGHT_RECORDS   flight-recorder ring capacity (default 65536)
-//   AIO_MDS_COUNT        metadata servers in the tier (default: the spec's
-//                        n_mds, i.e. 1; parsing in bench/env.hpp)
 #pragma once
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -53,11 +58,7 @@
 #include "fs/machine.hpp"
 #include "net/network.hpp"
 #include "obs/analysis.hpp"
-#include "obs/journal.hpp"
-#include "obs/live.hpp"
-#include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
-#include "obs/sampler.hpp"
+#include "obs/observers.hpp"
 #include "report.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -71,26 +72,20 @@ inline std::size_t samples_or(std::size_t fallback) {
   return env_size("AIO_BENCH_SAMPLES", fallback);
 }
 
-/// Builds the per-machine metrics registry when `AIO_METRICS` is set.  Null
-/// otherwise so the default path has zero bookkeeping.
-inline std::unique_ptr<obs::Registry> metrics_from_env() {
-  if (std::getenv("AIO_METRICS")) return std::make_unique<obs::Registry>();
-  return nullptr;
-}
-
 /// A fully assembled simulated machine.
 struct Machine {
   fs::MachineSpec spec;
-  // Observability precedes engine: the engine captures the recorder, which
-  // fans every record out to the env-armed subscribers.
-  std::unique_ptr<obs::Registry> metrics;
-  std::unique_ptr<obs::Journal> journal;
-  std::unique_ptr<obs::LivePlane> live;
-  obs::Recorder recorder;
+  // Observers precede engine: the engine captures their recorder.  They arm
+  // the registry only under AIO_METRICS, so a default machine's engine has
+  // a null recorder and pays nothing.
+  obs::Observers observers;
+  // Non-owning views of the armed subscribers (null when unarmed).
+  obs::Journal* journal;
+  obs::LivePlane* live;
+  obs::Registry* metrics;
   sim::Engine engine;
   fs::FileSystem filesystem;
   net::Network network;
-  std::optional<obs::Sampler> sampler;
   std::optional<fs::BackgroundLoad> load;
   std::optional<fs::InterferenceJob> job;
 
@@ -110,27 +105,20 @@ struct Machine {
   Machine(fs::MachineSpec machine_spec, std::uint64_t seed, bool with_load,
           std::size_t min_ranks = 0, int obs_slot = -1)
       : spec(apply_env(std::move(machine_spec))),
-        metrics(metrics_from_env()),
-        journal(obs::Journal::from_env(obs_slot)),
-        live(obs::LivePlane::from_env(obs_slot)),
-        recorder(journal.get(), live.get(), metrics.get()),
-        engine(recorder.empty() ? nullptr : &recorder),
+        observers(obs_slot),
+        journal(observers.journal()),
+        live(observers.live()),
+        metrics(observers.metrics()),
+        engine(observers.recorder()),
         filesystem(engine, spec.fs),
         network(engine,
                 net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
                 std::max(min_ranks, spec.total_cores())) {
-    // Resolve first-come numbering once, so the trace, report and metrics
-    // paths of this machine all carry the same number.
-    static std::atomic<int> instances{0};
-    obs_slot_ = obs_slot >= 0 ? obs_slot : instances++;
-    if (metrics) {
-      const double period =
-          env_double("AIO_OBS_PERIOD_S", 1.0);
-      sampler.emplace(*metrics, period);
-      filesystem.register_probes(*sampler, env_size("AIO_OBS_OSTS", 32));
-      arm_sampler();
-    }
-    if (live && live->snapshot_enabled()) arm_live();
+    if (metrics)
+      filesystem.register_probes(observers.sample_every(env_double("AIO_OBS_PERIOD_S", 1.0)),
+                                 env_size("AIO_OBS_OSTS", 32));
+    // Daemons before the load, so same-time tie-breaks stay as they were.
+    observers.attach(engine);
     if (with_load) {
       load.emplace(engine, sim::Rng(seed).fork(1), spec.load, filesystem.ost_pointers());
       load->start();
@@ -146,35 +134,18 @@ struct Machine {
     job.emplace(engine, fs::InterferenceJob::Config{}, filesystem.ost_pointers());
   }
 
-  /// Writes the journal, trace, report, live and metrics artifacts (also
-  /// called on destruction and on watchdog abort, so a hung run still leaves
-  /// its evidence behind).  Journal/trace/report emission is latched: the
-  /// watchdog path and the destructor never print the summary twice.
-  void flush_obs() {
-    if (journal && !report_flushed_) {
-      report_flushed_ = true;
-      (void)journal->write();
-      (void)obs::flush_report(*journal, obs_slot_);
-    }
-    if (live) live->flush();
-    // Export the drop counters once per machine so the bench JSON records
-    // whether any observability channel lost data (flush-fix satellite).
-    if ((journal || live) && !drops_published_) {
-      drops_published_ = true;
-      ObsDropTotals& totals = obs_drop_totals();
-      if (journal) totals.journal.fetch_add(journal->dropped(), std::memory_order_relaxed);
-      if (live) totals.live_rows.fetch_add(live->rows_dropped(), std::memory_order_relaxed);
-      totals.published.store(true, std::memory_order_relaxed);
-    }
-    if (!metrics) return;
-    if (const char* path = std::getenv("AIO_METRICS"); path && *path) {
-      if (std::FILE* f = std::fopen(obs::numbered_path(path, obs_slot_).c_str(), "w")) {
-        const std::string doc = metrics->to_json().dump();
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-      }
-    }
+  /// Writes the journal, trace, report, live and metrics artifacts
+  /// (obs::Observers::flush; also called on destruction and on watchdog
+  /// abort, so a hung run still leaves its evidence behind).  Only the
+  /// first call writes; it also adds this machine's drop counters to the
+  /// bench JSON's totals, so the JSON records whether any observability
+  /// channel lost data.
+  void flush_obs(bool aborted = false) {
+    if (!observers.flush(aborted) || (!journal && !live)) return;
+    ObsDropTotals& totals = obs_drop_totals();
+    if (journal) totals.journal.fetch_add(journal->dropped(), std::memory_order_relaxed);
+    if (live) totals.live_rows.fetch_add(live->rows_dropped(), std::memory_order_relaxed);
+    totals.published.store(true, std::memory_order_relaxed);
   }
 
   /// Runs one collective output; starts/stops the interference job around
@@ -215,34 +186,13 @@ struct Machine {
       for (const auto& [name, c] : metrics->counters())
         msg += " " + name + "=" + std::to_string(c.value());
     }
-    // Capture the metrics tail between the last daemon tick and the abort
-    // instant, then write everything out before throwing.
-    if (sampler) sampler->tick(engine.now());
-    flush_obs();
+    flush_obs(/*aborted=*/true);
     if (const char* trace = std::getenv("AIO_TRACE"); trace && *trace)
-      msg += "; trace dumped to " + obs::numbered_path(trace, obs_slot_);
-    if (live && live->flight_enabled() && live->dump_flight())
+      msg += "; trace dumped to " + obs::numbered_path(trace, observers.slot());
+    if (live && live->flight_enabled())
       msg += "; flight recorder dumped to " + live->config().flight_path;
     throw std::runtime_error(msg);
   }
-
-  void arm_sampler() {
-    engine.schedule_daemon_after(sampler->period(), [this] {
-      sampler->tick(engine.now());
-      arm_sampler();
-    });
-  }
-
-  void arm_live() {
-    engine.schedule_daemon_after(live->config().snapshot_period_s, [this] {
-      live->snapshot_tick(engine.now());
-      arm_live();
-    });
-  }
-
-  int obs_slot_ = -1;
-  bool report_flushed_ = false;
-  bool drops_published_ = false;
 };
 
 inline void banner(const char* binary, const char* reproduces, const char* setup) {

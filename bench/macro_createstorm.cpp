@@ -28,10 +28,12 @@
 //
 // Knobs: AIO_BENCH_MAX_PROCS trims the sweep; AIO_MDS_COUNT pins the tier
 // sweep to one width; AIO_MDS_BATCH sets the batched-mode span (default 64);
-// AIO_JOURNAL/AIO_REPORT capture the journal.  `AIO_PROF` (bench/env.hpp)
-// profiles the host cost of each storm (single-engine mode: one slot,
-// execute time + engine events) — a stderr line and prof_* JSON values per
-// row, plus an aio-prof-v1 document array when AIO_PROF is a path.  All knobs unset keeps stdout deterministic run
+// AIO_JOURNAL/AIO_REPORT capture the journal, AIO_LIVE and AIO_METRICS the
+// live plane and metrics registry, across every storm (obs::Observers).
+// `AIO_PROF` (bench/env.hpp) profiles the host cost of each storm
+// (single-engine mode: one slot, execute time + engine events) — a stderr
+// line and prof_* JSON values per row, plus an aio-prof-v1 document array
+// when AIO_PROF is a path.  All knobs unset keeps stdout deterministic run
 // to run.
 #include <algorithm>
 #include <chrono>
@@ -87,15 +89,15 @@ constexpr double kArrivalGap_s = 50e-6;
 /// create-visible minus its own arrival — for batched modes that includes
 /// the wait for its span to assemble.
 StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t batch,
-                   obs::Journal* journal, obs::prof::ShardProfiler* prof) {
+                   obs::Observers& observers, obs::prof::ShardProfiler* prof) {
   const auto w0 = std::chrono::steady_clock::now();
   if (prof) prof->bind(1);  // single-engine mode: one slot, re-zeroed per storm
-  obs::Recorder recorder(journal);
-  sim::Engine engine(recorder.empty() ? nullptr : &recorder);
+  sim::Engine engine(observers.recorder());
   fs::MdsGroup::Config gc;
   gc.count = n_mds;
   gc.server = fs::jaguar().fs.mds;
   fs::MdsGroup group(engine, gc);
+  observers.attach(engine);
 
   StormOut out;
   std::size_t remaining = procs;
@@ -152,9 +154,11 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t 
     }
   }
   engine.run();
-  if (remaining != 0)
+  if (remaining != 0) {
+    observers.flush(/*aborted=*/true);
     throw std::runtime_error("macro_createstorm: storm did not complete at " +
                              std::to_string(procs) + " writers");
+  }
 
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - w0).count();
   if (prof) {
@@ -193,8 +197,9 @@ int main() {
   if (const char* v = std::getenv("AIO_MDS_COUNT"); v && *v)
     mds_sweep = {bench::mds_count()};
 
-  const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env(0);
-  if (journal) journal->reserve(1 << 20);
+  // One set of observers across every storm, attached to each storm's engine.
+  obs::Observers observers(/*slot=*/0);
+  if (observers.journal()) observers.journal()->reserve(1 << 20);
 
   const bench::ProfEnv prof_env = bench::prof_env();
   std::unique_ptr<obs::prof::ShardProfiler> prof;
@@ -211,7 +216,7 @@ int main() {
     if (procs > max_procs) continue;
     for (const std::size_t n_mds : mds_sweep) {
       for (const Mode mode : {Mode::PerFile, Mode::Batched}) {
-        const StormOut out = run_storm(procs, n_mds, mode, batch, journal.get(), prof.get());
+        const StormOut out = run_storm(procs, n_mds, mode, batch, observers, prof.get());
         std::size_t peak = 0;
         for (const PerMds& m : out.per_mds) peak = std::max(peak, m.peak_backlog);
         table.add_row({std::to_string(procs), std::to_string(n_mds), mode_name(mode),
@@ -256,10 +261,7 @@ int main() {
   std::printf("%s\n", table.render().c_str());
   std::printf("Expect: widening the tier divides the storm; batching collapses the request\n"
               "count itself (p99 falls and flattens).\n");
-  if (journal) {
-    (void)journal->write();
-    (void)obs::flush_report(*journal, 0);
-  }
+  observers.flush(/*aborted=*/false);
   if (prof && !prof_env.path.empty()) {
     std::ofstream out(prof_env.path);
     if (out)

@@ -33,7 +33,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -107,13 +106,11 @@ struct RunCost {
 /// charges the job, the network, the transport, and every live index to the
 /// scale that allocated them.
 RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& model,
-                std::size_t procs, bool adaptive, obs::Journal* journal,
-                obs::LivePlane* live) {
+                std::size_t procs, bool adaptive, obs::Observers& observers) {
   const std::uint64_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
 
-  obs::Recorder recorder(journal, live);
-  sim::Engine engine(recorder.empty() ? nullptr : &recorder);
+  sim::Engine engine(observers.recorder());
   fs::FileSystem filesystem(engine, spec.fs);
   std::optional<net::Network> network;
   std::unique_ptr<core::Transport> transport;
@@ -131,17 +128,7 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
     transport = std::make_unique<core::MpiioTransport>(filesystem, cfg);
   }
 
-  // Periodic aio-live-v1 rows, same daemon pattern as the harness machines.
-  std::function<void()> arm_live;
-  if (live && live->snapshot_enabled()) {
-    arm_live = [&engine, live, &arm_live] {
-      engine.schedule_daemon_after(live->config().snapshot_period_s, [&] {
-        live->snapshot_tick(engine.now());
-        arm_live();
-      });
-    };
-    arm_live();
-  }
+  observers.attach(engine);
 
   const core::IoJob job = workload::pixie3d_job(model, procs);
   std::optional<core::IoResult> result;
@@ -154,10 +141,7 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
   if (!result) {
     // Leave the evidence behind before aborting: the flight recorder holds
     // the last records leading up to the hang, readable by tools/aio_report.
-    if (live) {
-      live->flush();
-      if (live->flight_enabled()) (void)live->dump_flight();
-    }
+    observers.flush(/*aborted=*/true);
     throw std::runtime_error("macro_jaguar: " + transport->name() +
                              " did not complete at " + std::to_string(procs) + " writers");
   }
@@ -253,14 +237,15 @@ int main() {
   const workload::Pixie3dConfig model = workload::Pixie3dConfig::small_model();
   if (!shard_sweep.empty()) bench::warn_domains_exceed_osts(sim_domains, spec.fs.n_osts);
 
-  // One journal across the whole sweep (serial bench, one "machine" at a
-  // time); each adaptive run appends its own kRunBegin..kComplete span.
-  const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env(0);
+  // One set of observers across the whole sweep (serial bench, one
+  // "machine" at a time), attached to each classic run's engine: each
+  // adaptive run appends its own kRunBegin..kComplete span to the journal,
+  // and the live plane's overhead (or lack of it) is the number this bench
+  // exists to measure, so it rides through every run.
+  obs::Observers observers(/*slot=*/0);
+  obs::Journal* const journal = observers.journal();
   if (journal) journal->reserve(1 << 20);
-  // One live plane the same way: the overhead it adds (or doesn't) is the
-  // number this bench exists to measure, so it rides through every run.
-  const std::unique_ptr<obs::LivePlane> live = obs::LivePlane::from_env(0);
-  if (live && !shard_sweep.empty())
+  if (observers.live() && !shard_sweep.empty())
     std::fprintf(stderr,
                  "macro_jaguar: AIO_LIVE is ignored for sharded adaptive rows "
                  "(the live plane is single-engine)\n");
@@ -341,7 +326,7 @@ int main() {
           RunCost last;
           for (std::size_t s = 0; s < samples; ++s) {
             last = run_one_sharded(spec, model, procs, n_shards, sim_domains, window_batch,
-                                   journal.get(), prof.get());
+                                   journal, prof.get());
             wall.add(last.wall_s);
           }
           emit(procs, "adaptive", n_shards, wall, last);
@@ -362,7 +347,7 @@ int main() {
       stats::Summary wall;
       RunCost last;
       for (std::size_t s = 0; s < samples; ++s) {
-        last = run_one(spec, model, procs, adaptive, journal.get(), live.get());
+        last = run_one(spec, model, procs, adaptive, observers);
         wall.add(last.wall_s);
       }
       emit(procs, adaptive ? "adaptive" : "mpiio", 0, wall, last);
@@ -372,11 +357,7 @@ int main() {
   std::printf("%s\n", table.render().c_str());
   std::printf("peak RSS (whole process): %s\n",
               bench::mb(static_cast<double>(bench::peak_rss_bytes())).c_str());
-  if (journal) {
-    (void)journal->write();
-    (void)obs::flush_report(*journal, 0);
-  }
-  if (live) live->flush();
+  observers.flush(/*aborted=*/false);
   if (prof && !prof_env.path.empty()) {
     std::ofstream out(prof_env.path);
     if (out)

@@ -6,16 +6,10 @@
 // series, and the imbalance factor over time — the phenomena of the paper's
 // Section II in one self-contained program.
 #include <cstdio>
-#include <functional>
-#include <memory>
 
 #include "fs/interference.hpp"
 #include "fs/machine.hpp"
-#include "obs/analysis.hpp"
-#include "obs/journal.hpp"
-#include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
-#include "obs/sampler.hpp"
+#include "obs/observers.hpp"
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
 #include "workload/ior.hpp"
@@ -24,12 +18,12 @@ using namespace aio;
 
 int main() {
   const fs::MachineSpec spec = fs::jaguar();
-  obs::Registry metrics;
-  // AIO_JOURNAL/AIO_REPORT capture the per-OST state timeline for
-  // tools/aio_report even though this study runs no adaptive protocol.
-  const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env();
-  obs::Recorder recorder(journal.get(), /*live=*/nullptr, &metrics);
-  sim::Engine engine(&recorder);
+  // The metrics registry is always on; AIO_JOURNAL/AIO_REPORT capture the
+  // per-OST state timeline for tools/aio_report even though this study runs
+  // no adaptive protocol.
+  obs::Observers observers(/*slot=*/0, /*with_metrics=*/true);
+  obs::Registry& metrics = *observers.metrics();
+  sim::Engine engine(observers.recorder());
   fs::FileSystem filesystem(engine, spec.fs);
   fs::BackgroundLoad load(engine, sim::Rng(2026).fork(1), spec.load,
                           filesystem.ost_pointers());
@@ -37,13 +31,9 @@ int main() {
 
   // Sample the storage landscape into the registry every simulated 30 s.
   // Daemon events never keep run() alive, so sampling is purely an observer.
-  obs::Sampler sampler(metrics, /*period_s=*/30.0);
+  obs::Sampler& sampler = observers.sample_every(/*period_s=*/30.0);
   filesystem.register_probes(sampler, /*per_ost_limit=*/8);
-  std::function<void()> arm = [&] {
-    sampler.tick(engine.now());
-    engine.schedule_daemon_after(sampler.period(), arm);
-  };
-  engine.schedule_daemon_after(sampler.period(), arm);
+  observers.attach(engine);
   engine.run_until(600.0);  // let the load process reach steady state
 
   // Snapshot of the load landscape across the first 64 OSTs.
@@ -83,9 +73,6 @@ int main() {
 
   std::printf("\nend-of-run metrics (obs::Registry, %zu-sample per-OST series):\n%s",
               sampler.ticks(), metrics.render_text().c_str());
-  if (journal) {
-    (void)journal->write();
-    (void)obs::flush_report(*journal);
-  }
+  observers.flush(/*aborted=*/false);
   return 0;
 }

@@ -49,14 +49,14 @@ int main() {
                 r.io_seconds(), r.bandwidth() / 1e9, r.imbalance_factor(),
                 static_cast<unsigned long long>(r.steals));
     // Applications share the simulation's registry for their own metrics.
-    sim.observers().metrics().counter("app.write_steps").add();
-    sim.observers().metrics().gauge("app.last_bw_gbs").set(r.bandwidth() / 1e9);
+    sim.metrics().counter("app.write_steps").add();
+    sim.metrics().gauge("app.last_bw_gbs").set(r.bandwidth() / 1e9);
     sim.advance(900.0);  // compute phase between output steps
   }
   std::printf("\nThe adaptive method writes one file per storage target, serializes the\n"
               "writers behind each target, and lets the coordinator shift waiting writers\n"
               "from slow targets to already-finished ones (SC'10, Lofstead et al.).\n");
   std::printf("\nend-of-run metrics (obs::Registry):\n%s",
-              sim.observers().metrics().render_text().c_str());
+              sim.metrics().render_text().c_str());
   return 0;
 }

@@ -115,43 +115,17 @@ Simulation::Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options
     job_ = std::make_unique<fs::InterferenceJob>(engine_, fs::InterferenceJob::Config{},
                                                  fs_->ost_pointers());
   }
-  if (options_.metrics_sample_period_s > 0.0) {
-    sampler_ = std::make_unique<obs::Sampler>(obs_.metrics(), options_.metrics_sample_period_s);
-    fs_->register_probes(*sampler_, options_.metrics_per_ost);
-    arm_sampler();
-  }
-  if (obs_.live() && obs_.live()->snapshot_enabled()) arm_live();
-}
-
-void Simulation::arm_sampler() {
-  // Daemon events never keep run() alive, so sampling cannot change when a
-  // simulation terminates — only what is observed along the way.
-  engine_.schedule_daemon_after(sampler_->period(), [this] {
-    sampler_->tick(engine_.now());
-    arm_sampler();
-  });
-}
-
-void Simulation::arm_live() {
-  // Same daemon pattern as the sampler: one aio-live-v1 row per period.
-  engine_.schedule_daemon_after(obs_.live()->config().snapshot_period_s, [this] {
-    obs_.live()->snapshot_tick(engine_.now());
-    arm_live();
-  });
-}
-
-void Simulation::flush_obs(bool aborted) {
-  if (obs_flushed_) return;
-  obs_flushed_ = true;
-  // An aborted run would otherwise lose the metrics tail between the last
-  // daemon tick and the failure instant.
-  if (aborted && sampler_) sampler_->tick(engine_.now());
-  obs_.flush(aborted);
+  if (options_.metrics_sample_period_s > 0.0)
+    fs_->register_probes(obs_.sample_every(options_.metrics_sample_period_s),
+                         /*per_ost_limit=*/16);
+  // Daemons after the load and job, so same-time tie-breaks stay as they
+  // were.
+  obs_.attach(engine_);
 }
 
 Simulation::~Simulation() {
   if (job_ && job_->running()) job_->stop();
-  flush_obs(/*aborted=*/false);
+  obs_.flush(/*aborted=*/false);
 }
 
 void Simulation::advance(double seconds) { engine_.run_until(engine_.now() + seconds); }
@@ -202,8 +176,6 @@ core::IoResult Simulation::write_step(const IoGroup& group, Method method,
     case Method::Adaptive: {
       core::AdaptiveTransport::Config ac;
       ac.n_files = options_.adaptive_files;
-      ac.max_concurrent = options_.adaptive_concurrency;
-      ac.stealing = options_.adaptive_stealing;
       transport = std::make_unique<core::AdaptiveTransport>(*fs_, *net_, ac);
       break;
     }
@@ -226,7 +198,7 @@ core::IoResult Simulation::write_step(const IoGroup& group, Method method,
   else
     engine_.run();
   if (!done) {
-    flush_obs(/*aborted=*/true);
+    obs_.flush(/*aborted=*/true);
     throw std::runtime_error(
         "Simulation::write_step: transport did not complete (event queue drained at t=" +
         std::to_string(engine_.now()) + "s after " + std::to_string(engine_.steps()) +

@@ -33,7 +33,6 @@
 #include "fs/machine.hpp"
 #include "net/network.hpp"
 #include "obs/observers.hpp"
-#include "obs/sampler.hpp"
 #include "sim/rng.hpp"
 
 namespace aio::api {
@@ -110,13 +109,10 @@ class Simulation {
     bool interference_job = false;     ///< the Section IV synthetic job
     std::size_t adaptive_files = 0;    ///< 0 = one file per OST
     std::size_t mpiio_stripes = 0;     ///< 0 = stripe limit
-    std::size_t adaptive_concurrency = 1;
-    bool adaptive_stealing = true;
     /// > 0 arms a sampling daemon at this period feeding the metrics
-    /// registry (per-OST occupancy/bandwidth series + aggregates).
+    /// registry (per-OST occupancy/bandwidth series for the first 16 OSTs,
+    /// plus aggregates).
     double metrics_sample_period_s = 0.0;
-    /// Per-OST series cap when sampling is armed (aggregates are exempt).
-    std::size_t metrics_per_ost = 16;
   };
 
   Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options);
@@ -138,37 +134,28 @@ class Simulation {
   [[nodiscard]] net::Network& network() { return *net_; }
   [[nodiscard]] const fs::MachineSpec& spec() const { return spec_; }
 
-  /// The machine's observers: end-of-run metrics (always available; the
-  /// counters derive from the record stream, series fill only when
-  /// `metrics_sample_period_s` is set), plus the journal (AIO_JOURNAL /
-  /// AIO_REPORT / AIO_TRACE) and live plane (AIO_LIVE / AIO_FLIGHT) when
-  /// armed.  Their artifacts are written on destruction.
+  /// The machine's observers: the journal (AIO_JOURNAL / AIO_REPORT /
+  /// AIO_TRACE) and live plane (AIO_LIVE / AIO_FLIGHT) when armed, and the
+  /// metrics registry.  Their artifacts, AIO_METRICS included, are written
+  /// on destruction (or when a step fails).
   [[nodiscard]] obs::Observers& observers() { return obs_; }
+  /// End-of-run metrics, always available: the counters derive from the
+  /// record stream; series fill only when `metrics_sample_period_s` is set.
+  [[nodiscard]] obs::Registry& metrics() { return *obs_.metrics(); }
   /// Current live-plane snapshot (zeroed when no plane is attached).
   [[nodiscard]] obs::LiveView live_view() const { return obs_.live_view(); }
 
  private:
-  void arm_sampler();
-  void arm_live();
-  /// Writes out every observability artifact exactly once: journal, trace +
-  /// report, live snapshot tail — and, on an aborted run, a final sampler
-  /// tick plus the flight-recorder dump.  The failure path and the
-  /// destructor both land here; the latch keeps the second call a no-op.
-  void flush_obs(bool aborted);
-
   fs::MachineSpec spec_;
   Options options_;
-  // Observability state must precede engine_: the engine captures the
-  // recorder at construction.
-  obs::Observers obs_;
-  bool obs_flushed_ = false;
+  // Observers precede engine_: the engine captures their recorder.
+  obs::Observers obs_{/*slot=*/-1, /*with_metrics=*/true};
   sim::Engine engine_;
   sim::Rng rng_;
   std::unique_ptr<fs::FileSystem> fs_;
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<fs::BackgroundLoad> load_;
   std::unique_ptr<fs::InterferenceJob> job_;
-  std::unique_ptr<obs::Sampler> sampler_;
 };
 
 }  // namespace aio::api

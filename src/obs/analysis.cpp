@@ -1,7 +1,6 @@
 #include "obs/analysis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -818,9 +817,6 @@ bool flush_report(const Journal& journal, int slot) {
   const bool want_trace = trace && *trace;
   const bool want_report = rep && *rep;
   if (!want_trace && !want_report) return true;
-  // Numbered paths per machine, same scheme as Journal::from_env.
-  static std::atomic<int> instances{0};
-  if (slot < 0) slot = instances++;
   bool ok = !want_trace || write_journal_trace(journal, numbered_path(trace, slot));
   if (!want_report) return ok;
   const Json report = analyze(journal);

@@ -68,9 +68,9 @@ struct DiffOptions {
 /// trace (obs/trace_export.hpp) to that path.  When AIO_REPORT is set,
 /// analyzes `journal`, prints the terse summary to stdout and — unless the
 /// value is "-" or "1" (summary only) — writes the JSON document to the
-/// value as a path.  Both paths are numbered per `slot` (numbered_path);
-/// the -1 default numbers calls in order.  Returns false only when a file
-/// write failed; a no-op (both unset) returns true.
-bool flush_report(const Journal& journal, int slot = -1);
+/// value as a path.  Both paths are numbered per machine `slot`
+/// (numbered_path).  Returns false only when a file write failed; a no-op
+/// (both unset) returns true.
+bool flush_report(const Journal& journal, int slot);
 
 }  // namespace aio::obs

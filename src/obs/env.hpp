@@ -14,37 +14,54 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <type_traits>
 
 namespace aio::obs {
+
+/// Strict number parse, the one behind every env knob: the integer (strtol,
+/// base 10) or floating-point (strtod) number at the start of `s`, provided
+/// the parse consumed something, did not overflow, and stopped at the end of
+/// `s` or at `sep`.  `*rest` then points at the character it stopped at, so
+/// list parsers can resume after the separator.
+template <typename T>
+std::optional<T> parse_number(const char* s, const char** rest = nullptr, char sep = '\0') {
+  char* end = nullptr;
+  errno = 0;
+  T parsed;
+  if constexpr (std::is_integral_v<T>)
+    parsed = std::strtol(s, &end, 10);
+  else
+    parsed = std::strtod(s, &end);
+  if (errno != 0 || end == s || (*end != '\0' && *end != sep)) return std::nullopt;
+  if (rest) *rest = end;
+  return parsed;
+}
 
 /// Positive integer from the environment; `fallback` when unset or invalid.
 inline std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0' || parsed <= 0) {
+  const std::optional<long> parsed = parse_number<long>(v);
+  if (!parsed || *parsed <= 0) {
     std::fprintf(stderr, "aio: ignoring %s=\"%s\" (want a positive integer); using %zu\n", name,
                  v, fallback);
     return fallback;
   }
-  return static_cast<std::size_t>(parsed);
+  return static_cast<std::size_t>(*parsed);
 }
 
 /// Positive double from the environment; `fallback` when unset or invalid.
 inline double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(v, &end);
-  if (errno != 0 || end == v || *end != '\0' || !(parsed > 0.0)) {
+  const std::optional<double> parsed = parse_number<double>(v);
+  if (!parsed || !(*parsed > 0.0)) {
     std::fprintf(stderr, "aio: ignoring %s=\"%s\" (want a positive number); using %g\n", name, v,
                  fallback);
     return fallback;
   }
-  return parsed;
+  return *parsed;
 }
 
 }  // namespace aio::obs

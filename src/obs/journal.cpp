@@ -1,7 +1,6 @@
 #include "obs/journal.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,8 +41,6 @@ std::unique_ptr<Journal> Journal::from_env(int slot) {
   };
   const std::string path = env("AIO_JOURNAL");
   if (path.empty() && env("AIO_TRACE").empty() && env("AIO_REPORT").empty()) return nullptr;
-  static std::atomic<int> instances{0};
-  if (slot < 0) slot = instances++;
   Config cfg;
   if (!path.empty()) cfg.path = numbered_path(path, slot);
   return std::make_unique<Journal>(std::move(cfg));

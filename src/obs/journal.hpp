@@ -106,9 +106,9 @@ class Journal {
   /// (in-process analysis) or `AIO_TRACE` (Chrome trace rendered from the
   /// journal by the end-of-run hook, obs::flush_report) is set; nullptr when
   /// all three are unset.  Without `AIO_JOURNAL` the journal stays in
-  /// memory.  A process hosting several machines numbers their paths (see
-  /// numbered_path); the -1 default numbers journals in creation order.
-  [[nodiscard]] static std::unique_ptr<Journal> from_env(int slot = -1);
+  /// memory.  The AIO_JOURNAL path is numbered per machine `slot`
+  /// (numbered_path), which obs::Observers resolves.
+  [[nodiscard]] static std::unique_ptr<Journal> from_env(int slot);
 
   /// Appends one record; bounded by `max_records`, excess is counted.
   void append(const Record& r) {

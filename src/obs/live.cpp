@@ -1,7 +1,6 @@
 #include "obs/live.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -51,16 +50,10 @@ std::unique_ptr<LivePlane> LivePlane::from_env(int slot) {
   const bool live_set = live && *live;
   const bool flight_set = flight && *flight;
   if (!live_set && !flight_set) return nullptr;
-  // Numbered paths per machine, same scheme as Journal::from_env.
-  static std::atomic<int> instances{0};
-  const int ordinal = slot >= 0 ? slot + 1 : ++instances;
-  const auto numbered = [ordinal](const char* p) {
-    return ordinal == 1 ? std::string(p) : std::string(p) + "." + std::to_string(ordinal);
-  };
   Config cfg;
   if (live_set && std::strcmp(live, "1") != 0 && std::strcmp(live, "-") != 0)
-    cfg.snapshot_path = numbered(live);
-  if (flight_set) cfg.flight_path = numbered(flight);
+    cfg.snapshot_path = numbered_path(live, slot);
+  if (flight_set) cfg.flight_path = numbered_path(flight, slot);
   // The ring only earns its copy-per-record when there is somewhere to dump
   // it: AIO_LIVE alone runs with the recorder disarmed.
   if (!flight_set) cfg.flight_records = 0;

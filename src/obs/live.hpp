@@ -129,9 +129,9 @@ class LivePlane {
   /// or `AIO_FLIGHT` (flight-recorder dump path) is set; nullptr when both
   /// are unset.  Knobs AIO_LIVE_PERIOD_S / AIO_LIVE_WINDOW_S /
   /// AIO_LIVE_SLOTS / AIO_FLIGHT_RECORDS parse strictly (obs/env.hpp).
-  /// Paths are numbered per machine like Journal::from_env: slot k writes
-  /// `<path>.k+1`, the -1 default numbers planes in creation order.
-  [[nodiscard]] static std::unique_ptr<LivePlane> from_env(int slot = -1);
+  /// Paths are numbered per machine `slot` (numbered_path), which
+  /// obs::Observers resolves.
+  [[nodiscard]] static std::unique_ptr<LivePlane> from_env(int slot);
 
   /// Folds one journal record into the live state.  Allocation-free once
   /// the first run has sized the per-run vectors.

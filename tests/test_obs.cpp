@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/api/adios.hpp"
 #include "core/transports/adaptive_transport.hpp"
 #include "fs/filesystem.hpp"
 #include "fs/ost.hpp"
@@ -24,6 +25,7 @@
 #include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observers.hpp"
 #include "obs/recorder.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace_export.hpp"
@@ -346,6 +348,13 @@ TEST(TraceExport, RenderedTraceRoundTripsAsChromeTrace) {
   EXPECT_EQ(count_events(*doc, "B", "mds.open"), 1u);
 }
 
+std::optional<obs::Json> load_json(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return obs::Json::parse(text.str());
+}
+
 // AIO_TRACE alone arms an in-memory journal whose end-of-run hook renders
 // the trace to the path numbered per slot; AIO_JOURNAL adds the binary file.
 TEST(TraceExport, TraceEnvArmsAJournalAndFlushRendersIt) {
@@ -366,11 +375,8 @@ TEST(TraceExport, TraceEnvArmsAJournalAndFlushRendersIt) {
   for (int slot : {0, 1}) {
     ASSERT_TRUE(obs::flush_report(*journal, slot));
     const std::string path = obs::numbered_path(trace, slot);
-    std::ifstream in(path);
-    std::stringstream text;
-    text << in.rdbuf();
-    const std::optional<obs::Json> doc = obs::Json::parse(text.str());
-    ASSERT_TRUE(doc.has_value()) << path << ": " << text.str();
+    const std::optional<obs::Json> doc = load_json(path);
+    ASSERT_TRUE(doc.has_value()) << path;
     EXPECT_EQ(count_events(*doc, "B", "write"), 1u);
     std::remove(path.c_str());
   }
@@ -591,6 +597,195 @@ TEST(ObserverPurity, ObserversDoNotPerturbTheRun) {
           << "run " << k << " writer " << w;
     }
   }
+}
+
+// --- The observer host (obs::Observers) --------------------------------------
+
+// Clears every AIO_* variable an observer host reads, on entry and on exit,
+// so a case sees only the variables it sets.
+struct CleanObsEnv {
+  static constexpr const char* kVars[] = {"AIO_JOURNAL", "AIO_REPORT", "AIO_TRACE",
+                                          "AIO_LIVE",    "AIO_FLIGHT", "AIO_METRICS"};
+  CleanObsEnv() { clear(); }
+  ~CleanObsEnv() { clear(); }
+  static void clear() {
+    for (const char* v : kVars) unsetenv(v);
+  }
+};
+
+bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
+
+fs::MachineSpec tiny_machine() {
+  fs::MachineSpec m = fs::xtp();
+  m.fs.n_osts = 8;
+  m.fs.fabric_bw = 0.0;
+  m.fs.stripe_limit = 4;
+  m.nodes = 16;
+  m.cores_per_node = 4;
+  return m;
+}
+
+/// `steps` adaptive output steps of 16 writers on `sim`.
+void write_steps(api::Simulation& sim, int steps) {
+  api::IoGroup g("out");
+  const auto v = g.define_var("x", api::Type::Double, {1u << 20});
+  for (int k = 0; k < steps; ++k)
+    (void)sim.write_step(g, api::Method::Adaptive, 16, [&](core::Rank r) {
+      api::WriteSet ws(g);
+      ws.put(v, {static_cast<std::uint64_t>(r) * 1024}, {1024});
+      return ws;
+    });
+}
+
+// Two first-come machines in one scope, destroyed in reverse order: each
+// machine's journal, report and live rows must carry one slot number, so the
+// report at `<report>.k` analyses the journal at `<journal>.k`.
+TEST(ObserverHost, EachMachineNumbersAllItsArtifactsAlike) {
+  const CleanObsEnv env;
+  const std::string dir = ::testing::TempDir();
+  const std::string journal = dir + "slot.journal";
+  const std::string report = dir + "slot_report.json";
+  const std::string live = dir + "slot_live.jsonl";
+  setenv("AIO_JOURNAL", journal.c_str(), 1);
+  setenv("AIO_REPORT", report.c_str(), 1);
+  setenv("AIO_LIVE", live.c_str(), 1);
+  std::string suffix[2];
+  {
+    api::Simulation one(tiny_machine(), 1, api::Simulation::Options{.background_load = false});
+    api::Simulation two(tiny_machine(), 2, api::Simulation::Options{.background_load = false});
+    write_steps(one, 1);
+    write_steps(two, 2);
+    api::Simulation* sims[2] = {&one, &two};
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_NE(sims[k]->observers().journal(), nullptr);
+      ASSERT_NE(sims[k]->observers().live(), nullptr);
+      const std::string& path = sims[k]->observers().journal()->config().path;
+      ASSERT_EQ(path.rfind(journal, 0), 0u) << path;
+      suffix[k] = path.substr(journal.size());
+      EXPECT_EQ(sims[k]->observers().live()->config().snapshot_path, live + suffix[k]);
+    }
+    EXPECT_NE(suffix[0], suffix[1]);
+  }  // `two` flushes first
+  for (int k = 0; k < 2; ++k) {
+    const std::optional<obs::Journal> j = obs::Journal::load(journal + suffix[k]);
+    ASSERT_TRUE(j.has_value()) << journal + suffix[k];
+    const std::optional<obs::Json> r = load_json(report + suffix[k]);
+    ASSERT_TRUE(r.has_value()) << report + suffix[k];
+    const obs::Json analysed = obs::analyze(*j);
+    ASSERT_NE(analysed.find("runs"), nullptr);
+    ASSERT_NE(r->find("runs"), nullptr);
+    EXPECT_EQ(analysed.find("runs")->size(), static_cast<std::size_t>(k + 1)) << k;
+    EXPECT_EQ(r->find("runs")->size(), analysed.find("runs")->size()) << k;
+    for (const std::string& p : {journal, report, live}) std::remove((p + suffix[k]).c_str());
+  }
+}
+
+// flush() is latched: the first call writes every artifact once, a second
+// call writes nothing (and prints no second report summary).
+TEST(ObserverHost, SecondFlushIsANoOp) {
+  const CleanObsEnv env;
+  const std::string dir = ::testing::TempDir();
+  const std::string paths[] = {dir + "once.journal", dir + "once_report.json",
+                               dir + "once_trace.json", dir + "once_live.jsonl",
+                               dir + "once_metrics.json"};
+  setenv("AIO_JOURNAL", paths[0].c_str(), 1);
+  setenv("AIO_REPORT", paths[1].c_str(), 1);
+  setenv("AIO_TRACE", paths[2].c_str(), 1);
+  setenv("AIO_LIVE", paths[3].c_str(), 1);
+  setenv("AIO_METRICS", paths[4].c_str(), 1);
+  obs::Observers observers(/*slot=*/0);
+  ASSERT_NE(observers.recorder(), nullptr);
+  ASSERT_NE(observers.metrics(), nullptr);
+  sim::Engine engine(observers.recorder());
+  observers.attach(engine);
+  observers.recorder()->emit(rec(0.5, obs::Rec::kWriterStart, 0));
+  engine.schedule_after(2.5, [] {});
+  engine.run();
+
+  EXPECT_TRUE(observers.flush(/*aborted=*/false));
+  for (const std::string& p : paths) {
+    EXPECT_TRUE(file_exists(p)) << p;
+    std::remove(p.c_str());
+  }
+  EXPECT_GT(observers.live()->rows_written(), 0u);
+
+  testing::internal::CaptureStdout();
+  EXPECT_FALSE(observers.flush(/*aborted=*/false));
+  EXPECT_FALSE(observers.flush(/*aborted=*/true));
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  for (const std::string& p : paths) EXPECT_FALSE(file_exists(p)) << p;
+}
+
+// api::Simulation always carries a registry and now writes it to
+// AIO_METRICS like every other host; its run counter counts its steps.
+TEST(ObserverHost, SimulationWritesMetrics) {
+  const CleanObsEnv env;
+  const std::string path = ::testing::TempDir() + "sim_metrics.json";
+  setenv("AIO_METRICS", path.c_str(), 1);
+  int slot = -1;
+  {
+    api::Simulation sim(tiny_machine(), 3, api::Simulation::Options{.background_load = false});
+    slot = sim.observers().slot();
+    write_steps(sim, 3);
+    EXPECT_EQ(sim.metrics().counter("protocol.runs").value(), 3u);
+  }
+  const std::string written = obs::numbered_path(path, slot);
+  const std::optional<obs::Json> doc = load_json(written);
+  ASSERT_TRUE(doc.has_value()) << written;
+  const obs::Json* counters = doc->find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_NE(counters->find("protocol.runs"), nullptr);
+  EXPECT_EQ(counters->find("protocol.runs")->number(), 3.0);
+  std::remove(written.c_str());
+}
+
+// An aborted flush captures the metrics tail with one last sampler tick at
+// the abort instant, and dumps the flight recorder as a loadable journal.
+TEST(ObserverHost, AbortedFlushTicksTheSamplerAndDumpsTheFlightRecorder) {
+  const CleanObsEnv env;
+  const std::string flight = ::testing::TempDir() + "abort.flight";
+  setenv("AIO_FLIGHT", flight.c_str(), 1);
+  obs::Observers observers(/*slot=*/0, /*with_metrics=*/true);
+  ASSERT_NE(observers.live(), nullptr);
+  ASSERT_TRUE(observers.live()->flight_enabled());
+  sim::Engine engine(observers.recorder());
+  obs::Sampler& sampler = observers.sample_every(1.0);
+  sampler.add_probe("clock", [](double now) { return now; });
+  observers.attach(engine);
+  for (std::uint32_t w = 0; w < 3; ++w)
+    observers.recorder()->emit(rec(0.1 * w, obs::Rec::kWriterStart, w));
+  engine.schedule_after(2.5, [] {});
+  engine.run();
+  EXPECT_EQ(sampler.ticks(), 2u);  // t = 1, 2
+
+  EXPECT_TRUE(observers.flush(/*aborted=*/true));
+  EXPECT_EQ(sampler.ticks(), 3u);
+  EXPECT_DOUBLE_EQ(observers.metrics()->series("clock").samples().back().first, 2.5);
+  const std::optional<obs::Journal> dump = obs::Journal::load(flight);
+  ASSERT_TRUE(dump.has_value());
+  EXPECT_EQ(dump->records().size(), 3u);
+  std::remove(flight.c_str());
+}
+
+// The zero-cost default: with no AIO_* variable set, a bench-style host arms
+// nothing and hands its engine a null recorder; a host that asks for a
+// registry (api::Simulation) still gets one.
+TEST(ObserverHost, UnarmedBenchHostHandsTheEngineANullRecorder) {
+  const CleanObsEnv env;
+  obs::Observers bench_host;
+  EXPECT_EQ(bench_host.recorder(), nullptr);
+  EXPECT_EQ(bench_host.journal(), nullptr);
+  EXPECT_EQ(bench_host.live(), nullptr);
+  EXPECT_EQ(bench_host.metrics(), nullptr);
+  sim::Engine engine(bench_host.recorder());
+  bench_host.attach(engine);
+  EXPECT_EQ(engine.recorder(), nullptr);
+  EXPECT_EQ(engine.pending(), 0u);  // no daemon scheduled
+  EXPECT_TRUE(bench_host.flush(/*aborted=*/false));
+
+  obs::Observers api_host(/*slot=*/-1, /*with_metrics=*/true);
+  EXPECT_NE(api_host.recorder(), nullptr);
+  EXPECT_NE(api_host.metrics(), nullptr);
 }
 
 }  // namespace
