@@ -6,7 +6,7 @@
 // experiment than the one the user thought they configured
 // (`AIO_BENCH_SAMPLES=4O` — a typo'd letter O — used to atol() to 4).
 // The strict parsers themselves live in src/obs/env.hpp so library-side
-// knobs (AIO_LIVE, AIO_FLIGHT_RECORDS, ...) get the same hardening; this
+// knobs (AIO_LIVE_PERIOD_S, AIO_BENCH_MAX_STEPS) get the same hardening; this
 // header keeps the bench-flavoured aliases and the MAX_PROCS sweep helpers.
 #pragma once
 

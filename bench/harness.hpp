@@ -29,16 +29,14 @@
 //   AIO_REPORT           end-of-run analysis: terse stdout summary, plus the
 //                        aio-report-v1 JSON when the value is a path
 //                        ("-" or "1" = summary only)
-//   AIO_OBS_PERIOD_S     sampling period for per-OST series (default 1.0)
-//   AIO_OBS_OSTS         per-OST probe limit (default 32)
+//   AIO_OBS_PERIOD_S     sampling period for per-OST series of the first 32
+//                        OSTs (default 1.0)
 //   AIO_LIVE             online telemetry plane per machine: a path streams
 //                        aio-live-v1 snapshot rows, "-" or "1" = query-only
 //   AIO_LIVE_PERIOD_S    live snapshot cadence in sim seconds (default 1.0)
-//   AIO_LIVE_WINDOW_S    sliding-window slot width in sim seconds (default 1.0)
-//   AIO_LIVE_SLOTS       sliding-window slot count (default 16)
-//   AIO_FLIGHT           flight recorder: bounded journal ring dumped to this
-//                        path on watchdog abort (readable by tools/aio_report)
-//   AIO_FLIGHT_RECORDS   flight-recorder ring capacity (default 65536)
+//   AIO_FLIGHT           flight recorder: a ring of the last 65,536 journal
+//                        records dumped to this path on watchdog abort
+//                        (readable by tools/aio_report)
 #pragma once
 
 #include <cstdio>
@@ -115,8 +113,7 @@ struct Machine {
                 net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
                 std::max(min_ranks, spec.total_cores())) {
     if (metrics)
-      filesystem.register_probes(observers.sample_every(env_double("AIO_OBS_PERIOD_S", 1.0)),
-                                 env_size("AIO_OBS_OSTS", 32));
+      filesystem.register_probes(observers.sample_every(env_double("AIO_OBS_PERIOD_S", 1.0)));
     // Daemons before the load, so same-time tie-breaks stay as they were.
     observers.attach(engine);
     if (with_load) {

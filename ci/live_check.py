@@ -4,11 +4,12 @@
 Usage: live_check.py <aio-live.jsonl> <aio-report.json>
 
 The live plane (src/obs/live.cpp) and the analyzer (src/obs/analysis.cpp)
-ingest the identical journal record stream, so the final live row's
-cumulative attribution must agree with the report's summary.attribution to
-floating-point noise.  This script fails (exit 1) on any component drifting
-past 1e-6 relative — the tolerance a window-accounting bug (a slot double
-count, a missed roll-over, a dropped writer) cannot hide under.
+ingest the identical journal record stream through the same record fold
+(src/obs/run_fold.cpp), so the final live row's cumulative attribution must
+equal the report's summary.attribution exactly.  This script fails (exit 1)
+on any component differing at all — an accounting bug (a slot double count,
+a dropped writer, a second copy of the split arithmetic) cannot hide under a
+tolerance.
 
 Every row's straggler ranking is checked too: at most TOP_K entries with
 distinct `ost` ids, ordered by score descending, then `ost` ascending (the
@@ -18,7 +19,6 @@ the fleet would give).
 import json
 import sys
 
-TOL = 1e-6
 KEYS = ("total_wait_s", "internal_s", "external_s", "mds_s", "network_s")
 TOP_K = 8  # LivePlane::view()'s default, used for every snapshot row
 
@@ -73,7 +73,7 @@ def main() -> int:
     failures = []
     for key in KEYS:
         a, b = live[key], offline[key]
-        if abs(a - b) > TOL * max(1.0, abs(b)):
+        if a != b:  # exact: both sides print the same doubles
             failures.append(f"  {key}: live={a!r} offline={b!r} "
                             f"(|diff|={abs(a - b):.3e})")
     live_writers = final["cumulative"]["writers"]

@@ -14,76 +14,13 @@
 #include "obs/critical_path.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/run_fold.hpp"
 #include "obs/trace_export.hpp"
 #include "stats/summary.hpp"
 
 namespace aio::obs {
 
 namespace {
-
-struct WriterInfo {
-  double signal_t = -1.0;
-  double start_t = -1.0;
-  double end_t = -1.0;
-  double bytes = 0.0;
-  std::uint32_t target = 0;
-  std::uint32_t origin = 0;
-  std::uint32_t grant_seq = 0;
-  bool adaptive = false;
-};
-
-struct StealInfo {
-  double grant_t = -1.0;
-  double complete_t = -1.0;
-  double queue_depth = 0.0;
-  double bytes = 0.0;
-  std::uint32_t source = 0;
-  std::uint32_t target = 0;
-  std::uint32_t writer = 0;
-};
-
-struct RunData {
-  std::uint32_t run = 0;
-  std::uint32_t n_writers = 0, n_files = 0, n_osts = 0;
-  double t_begin = 0.0, t_open = -1.0, t_data_done = -1.0, t_complete = -1.0;
-  double steals = 0.0, grants = 0.0;
-  std::uint64_t mds_ops = 0;
-  double mds_service_s = 0.0;
-  // Phase-scoped MDS service: before the kOpenDone mark (the open storm) and
-  // after the kDataDone mark (close traffic inside the reported interval) —
-  // the two ends the critical path cares about.
-  double mds_open_s = 0.0;
-  double mds_close_s = 0.0;
-  std::map<std::uint32_t, std::uint32_t> file_ost;
-  std::map<std::uint32_t, WriterInfo> writers;       // by rank
-  std::map<std::uint32_t, StealInfo> steal_chains;   // by grant_seq
-};
-
-/// Piecewise-constant external-load fraction of one OST: `ext` holds from
-/// `t` until the next segment.
-struct OstSeg {
-  double t;
-  double ext;  // max(net_load, disk_load) at t
-};
-
-/// Integral of `ext` over [a, b].  Segments are in record (= time) order, so
-/// the scan starts at the last segment with t <= a: every one before it ends
-/// at or before `a` and contributes nothing.  O(log segments + span).
-double integrate_ext(const std::vector<OstSeg>& segs, double a, double b) {
-  if (b <= a || segs.empty()) return 0.0;
-  const auto after_a = std::upper_bound(segs.begin(), segs.end(), a,
-                                        [](double t, const OstSeg& s) { return t < s.t; });
-  const std::size_t first =
-      after_a == segs.begin() ? 0 : static_cast<std::size_t>(after_a - segs.begin()) - 1;
-  double total = 0.0;
-  for (std::size_t i = first; i < segs.size(); ++i) {
-    if (segs[i].t >= b) break;
-    const double hi = std::min(b, i + 1 < segs.size() ? segs[i + 1].t : b);
-    const double lo = std::max(a, segs[i].t);
-    if (hi > lo) total += (hi - lo) * segs[i].ext;
-  }
-  return total;
-}
 
 /// Mean/stddev/CoV/extrema exact (Welford), interior quantiles from the
 /// log-bucket sketch.
@@ -132,131 +69,22 @@ double get_num(const Json& doc, std::initializer_list<const char*> path) {
 
 }  // namespace
 
-Json analyze(const Journal& journal) {
-  // --- pass 1: fold the record stream into per-run state --------------------
-  std::vector<RunData> runs;
-  RunData* cur = nullptr;  // run-scoped records attach to the last kRunBegin
-  std::map<std::uint32_t, std::vector<OstSeg>> ost_timeline;
+namespace {
 
-  // Global, not run-scoped (like the OST timeline): every metadata dispatch
-  // attributes to its server, whether or not a run is in flight — a bench
-  // driving the tier directly still gets a per-MDS table.
-  struct MdsAgg {
-    std::uint64_t ops = 0;    // requests dispatched (a batch counts once)
-    std::uint64_t items = 0;  // operations carried (a batch counts its size)
-    double service_s = 0.0;
-    std::uint32_t peak_queue = 0;  // deepest backlog behind a dispatch
-  };
-  std::map<std::uint32_t, MdsAgg> mds_servers;
-  std::vector<Record> prof_shards;  // kProfShard records, stream order
-
-  for (const Record& r : journal.records()) {
-    switch (r.kind) {
-      case Rec::kRunBegin: {
-        runs.emplace_back();
-        cur = &runs.back();
-        cur->run = r.id;
-        cur->t_begin = r.t;
-        cur->n_writers = r.u0;
-        cur->n_files = r.u1;
-        cur->n_osts = r.u2;
-        break;
-      }
-      case Rec::kRunMark:
-        if (!cur) break;
-        switch (static_cast<Mark>(r.a)) {
-          case Mark::kOpenDone: cur->t_open = r.t; break;
-          case Mark::kDataDone: cur->t_data_done = r.t; break;
-          case Mark::kComplete:
-            cur->t_complete = r.t;
-            cur->steals = r.v0;
-            cur->grants = r.v1;
-            break;
-        }
-        break;
-      case Rec::kFileMap:
-        if (cur) cur->file_ost[r.u0] = r.u1;
-        break;
-      case Rec::kWriterSignal:
-        if (cur) {
-          WriterInfo& w = cur->writers[r.id];
-          w.signal_t = r.t;
-          w.target = r.u0;
-          w.origin = r.u1;
-          w.grant_seq = r.u2;
-          w.adaptive = r.a != 0;
-        }
-        break;
-      case Rec::kWriterStart:
-        if (cur) {
-          WriterInfo& w = cur->writers[r.id];
-          w.start_t = r.t;
-          w.bytes = r.v0;
-        }
-        break;
-      case Rec::kWriterEnd:
-        if (cur) cur->writers[r.id].end_t = r.t;
-        break;
-      case Rec::kOstState:
-        // Global, not run-scoped: the fluid state persists across runs.
-        ost_timeline[r.id].push_back(OstSeg{r.t, std::max(r.v1, r.v2)});
-        break;
-      case Rec::kMdsOp: {
-        if (cur) {
-          ++cur->mds_ops;
-          cur->mds_service_s += r.v0;
-          if (cur->t_open < 0.0)
-            cur->mds_open_s += r.v0;
-          else if (cur->t_data_done >= 0.0 && r.t >= cur->t_data_done)
-            cur->mds_close_s += r.v0;
-        }
-        MdsAgg& m = mds_servers[r.id];
-        ++m.ops;
-        m.items += 1 + static_cast<std::uint64_t>(r.u1);
-        m.service_s += r.v0;
-        m.peak_queue = std::max(m.peak_queue, r.u0);
-        break;
-      }
-      case Rec::kStealGrant:
-        if (cur) {
-          StealInfo& s = cur->steal_chains[r.id];
-          s.grant_t = r.t;
-          s.source = r.u0;
-          s.target = r.u1;
-          s.queue_depth = r.v1;
-        }
-        break;
-      case Rec::kStealComplete:
-        if (cur) {
-          StealInfo& s = cur->steal_chains[r.id];
-          s.complete_t = r.t;
-          s.source = r.u0;
-          s.target = r.u1;
-          s.writer = r.u2;
-          s.bytes = r.v0;
-        }
-        break;
-      case Rec::kProfShard:
-        // Host-runtime artifact (obs/prof.hpp): surfaced verbatim under
-        // summary.prof, never folded into simulated-time accounting.
-        prof_shards.push_back(r);
-        break;
-    }
-  }
-
-  // --- pass 2: aggregate ----------------------------------------------------
+/// Pass 2 of the report, run by run as the fold closes them: variability
+/// statistics, per-OST tables, steal provenance and critical paths.
+struct ReportSink final : RunFold::Sink {
   stats::Summary run_time;
   Histogram run_hist;
   stats::Summary writer_time;
   Histogram writer_hist;
-  double mds_s = 0.0, net_s = 0.0, int_s = 0.0, ext_s = 0.0, wait_s = 0.0;
   std::uint64_t writes_total = 0;
   double steals_total = 0.0, grants_total = 0.0;
   std::uint64_t mds_ops_total = 0;
   double mds_service_total = 0.0;
 
   struct OstAgg {
-    stats::Summary time;   // write durations landing on this OST
+    stats::Summary time;  // write durations landing on this OST
     Histogram hist;
     double bytes = 0.0;
     std::uint64_t writes = 0;
@@ -278,7 +106,9 @@ Json analyze(const Journal& journal) {
   std::map<std::uint32_t, SourceAgg> per_source;  // by source group
 
   Json runs_json = Json::array();
-  for (RunData& run : runs) {
+
+  void run_closed(const RunFold& fold) override {
+    const RunFold::Run& run = fold.run();
     if (run.t_complete >= 0.0 && run.t_open >= 0.0) {
       const double rt = run.t_complete - run.t_open;  // IoResult::io_seconds
       run_time.add(rt);
@@ -289,122 +119,38 @@ Json analyze(const Journal& journal) {
     mds_ops_total += run.mds_ops;
     mds_service_total += run.mds_service_s;
 
-    std::map<std::uint32_t, stats::Summary> file_service;  // write time per file
-    for (auto& [rank, w] : run.writers) {
+    for (const RunFold::Writer& w : fold.writers()) {
       if (w.start_t < 0.0 || w.end_t < 0.0) continue;
       const double dur = w.end_t - w.start_t;
       writer_time.add(dur);
       writer_hist.add(dur);
       ++writes_total;
-      file_service[w.target].add(dur);
-      const auto target_it = run.file_ost.find(w.target);
-      const std::uint32_t target_ost = target_it != run.file_ost.end() ? target_it->second : 0;
-      OstAgg& ta = osts[target_ost];
+      OstAgg& ta = osts[fold.file_ost(w.target)];
       ta.time.add(dur);
       ta.hist.add(dur);
       ta.bytes += w.bytes;
       ++ta.writes;
-
-      // Stall attribution.  The wait (run begin -> first data byte) splits
-      // exactly: MDS = the shared open phase; queue = [t_open, signal] on
-      // the writer's home OST, decomposed into external interference (the
-      // OST's background-load fraction, integrated over the interval) and
-      // internal queueing (the remainder: waiting behind earlier writers);
-      // network = signal -> start, the write signal's transfer time.
-      if (run.t_open >= 0.0 && w.signal_t >= 0.0) {
-        const double wait = w.start_t - run.t_begin;
-        const double mds = std::max(0.0, run.t_open - run.t_begin);
-        const double net = std::max(0.0, w.start_t - w.signal_t);
-        const double q = std::max(0.0, w.signal_t - run.t_open);
-        const auto home_it = run.file_ost.find(w.origin);
-        const std::uint32_t home_ost = home_it != run.file_ost.end() ? home_it->second : 0;
-        double ext = 0.0;
-        if (const auto tl = ost_timeline.find(home_ost); tl != ost_timeline.end())
-          ext = std::min(q, integrate_ext(tl->second, run.t_open, w.signal_t));
-        const double internal = q - ext;
-        mds_s += mds;
-        net_s += net;
-        int_s += internal;
-        ext_s += ext;
-        wait_s += wait;
-        OstAgg& ha = osts[home_ost];
-        ha.wait_int += internal;
-        ha.wait_ext += ext;
+      WaitSplit s;
+      if (fold.split(w, s)) {
+        OstAgg& ha = osts[fold.file_ost(w.origin)];
+        ha.wait_int += s.internal_s;
+        ha.wait_ext += s.external_s;
       }
     }
 
-    // Steal provenance: price each completed chain against the no-steal
-    // counterfactual — the stolen writer draining behind `queue_depth`
-    // writers at the source file's observed mean service time.
-    for (auto& [seq, st] : run.steal_chains) {
-      if (st.grant_t < 0.0 || st.complete_t < 0.0) continue;
-      double svc = 0.0;
-      if (const auto it = file_service.find(st.source);
-          it != file_service.end() && it->second.count() > 0)
-        svc = it->second.mean();
-      const double saved = (st.grant_t + st.queue_depth * svc) - st.complete_t;
+    for (const RunFold::Grant& g : fold.grants()) {
+      if (!g.completed()) continue;
       ++steals_completed;
-      saved_total += saved;
-      SourceAgg& sa = per_source[st.source];
-      const auto src_it = run.file_ost.find(st.source);
-      sa.ost = src_it != run.file_ost.end() ? src_it->second : 0;
+      saved_total += g.saved_s;
+      SourceAgg& sa = per_source[g.source];
+      sa.ost = fold.file_ost(g.source);
       ++sa.steals;
-      sa.saved_s += saved;
+      sa.saved_s += g.saved_s;
     }
 
-    // Critical path: walk the causal chain through the anchor writer — the
-    // last to finish its data write, the one the close phase waited on.
-    PathInputs pin;
-    pin.t_open = run.t_open;
-    pin.t_data_done = run.t_data_done;
-    pin.t_complete = run.t_complete;
-    pin.t_begin = run.t_begin;
-    pin.open_mds_service_s = run.mds_open_s;
-    pin.close_mds_s = run.mds_close_s;
-    const WriterInfo* anchor = nullptr;
-    std::uint32_t anchor_rank = 0;
-    for (const auto& [rank, w] : run.writers) {
-      if (w.signal_t < 0.0 || w.start_t < 0.0 || w.end_t < 0.0) continue;
-      if (!anchor || w.end_t > anchor->end_t) {
-        anchor = &w;
-        anchor_rank = rank;
-      }
-    }
-    if (anchor) {
-      pin.have_anchor = true;
-      pin.anchor_writer = anchor_rank;
-      pin.anchor_target = anchor->target;
-      pin.anchor_adaptive = anchor->adaptive;
-      pin.signal_t = anchor->signal_t;
-      pin.start_t = anchor->start_t;
-      pin.end_t = anchor->end_t;
-      const auto home_it = run.file_ost.find(anchor->origin);
-      const std::uint32_t home_ost = home_it != run.file_ost.end() ? home_it->second : 0;
-      const auto tgt_it = run.file_ost.find(anchor->target);
-      pin.anchor_ost = tgt_it != run.file_ost.end() ? tgt_it->second : 0;
-      if (run.t_open >= 0.0)
-        if (const auto tl = ost_timeline.find(home_ost); tl != ost_timeline.end())
-          pin.queue_ext_s = integrate_ext(tl->second, run.t_open, anchor->signal_t);
-      if (const auto tl = ost_timeline.find(pin.anchor_ost); tl != ost_timeline.end())
-        pin.service_ext_s = integrate_ext(tl->second, anchor->start_t, anchor->end_t);
-      if (anchor->adaptive) {
-        const auto st = run.steal_chains.find(anchor->grant_seq);
-        if (st != run.steal_chains.end() && st->second.grant_t >= 0.0) {
-          pin.grant_t = st->second.grant_t;
-          if (st->second.complete_t >= 0.0) {
-            double svc = 0.0;
-            if (const auto fi = file_service.find(st->second.source);
-                fi != file_service.end() && fi->second.count() > 0)
-              svc = fi->second.mean();
-            pin.steal_saved_s =
-                (st->second.grant_t + st->second.queue_depth * svc) - st->second.complete_t;
-          }
-        }
-      }
-    }
-    Json cp = critical_path_json(pin);
+    Json cp = critical_path_json(fold.path());
     if (!cp.is_null()) {
-      const PathTotals pt = path_totals(critical_path_segments(pin));
+      const PathTotals pt = path_totals(critical_path_segments(fold.path()));
       ++cp_runs;
       cp_agg.mds_s += pt.mds_s;
       cp_agg.internal_s += pt.internal_s;
@@ -415,7 +161,7 @@ Json analyze(const Journal& journal) {
     }
 
     Json rj = Json::object();
-    rj.set("run", run.run);
+    rj.set("run", run.id);
     rj.set("n_writers", run.n_writers);
     rj.set("n_files", run.n_files);
     rj.set("n_osts", run.n_osts);
@@ -431,75 +177,102 @@ Json analyze(const Journal& journal) {
     if (!cp.is_null()) rj.set("critical_path", std::move(cp));
     runs_json.push(std::move(rj));
   }
+};
 
-  // --- assemble the document ------------------------------------------------
+}  // namespace
+
+Json attribution_json(const WaitSplit& w) {
+  Json attrib = Json::object();
+  attrib.set("total_wait_s", w.total_s);
+  attrib.set("internal_s", w.internal_s);
+  attrib.set("external_s", w.external_s);
+  attrib.set("mds_s", w.mds_s);
+  attrib.set("network_s", w.network_s);
+  const double denom = w.total_s > 0.0 ? w.total_s : 1.0;
+  attrib.set("internal_share", w.internal_s / denom);
+  attrib.set("external_share", w.external_s / denom);
+  attrib.set("mds_share", w.mds_s / denom);
+  attrib.set("network_share", w.network_s / denom);
+  attrib.set("attributed_frac",
+             w.total_s > 0.0
+                 ? (w.internal_s + w.external_s + w.mds_s + w.network_s) / w.total_s
+                 : 1.0);
+  return attrib;
+}
+
+Json mds_json(const RunFold::Mds& m) {
+  Json mj = Json::object();
+  mj.set("ops", static_cast<double>(m.ops));
+  mj.set("items", static_cast<double>(m.items));
+  mj.set("service_s", m.service_s);
+  mj.set("peak_queue", static_cast<double>(m.peak_queue));
+  return mj;
+}
+
+Json analyze(const Journal& journal) {
+  ReportSink agg;
+  RunFold fold(&agg);
+  std::vector<Record> prof_shards;  // kProfShard records, stream order
+  for (const Record& r : journal.records())
+    if (fold.ingest(r) && r.kind == Rec::kProfShard) prof_shards.push_back(r);
+  fold.finish();
+
   Json doc = Json::object();
   doc.set("schema", "aio-report-v1");
   Json jj = Json::object();
   jj.set("records", static_cast<double>(journal.records().size()));
   jj.set("dropped", static_cast<double>(journal.dropped()));
   jj.set("runs", static_cast<double>(journal.runs()));
+  if (fold.malformed() > 0) jj.set("malformed", static_cast<double>(fold.malformed()));
   doc.set("journal", std::move(jj));
-  doc.set("runs", std::move(runs_json));
+  doc.set("runs", std::move(agg.runs_json));
 
   Json summary = Json::object();
-  summary.set("writers", static_cast<double>(writes_total));
-  summary.set("steals", steals_total);
-  summary.set("grants", grants_total);
-  summary.set("mds_ops", static_cast<double>(mds_ops_total));
-  summary.set("mds_service_s", mds_service_total);
-  if (!mds_servers.empty()) {
+  summary.set("writers", static_cast<double>(agg.writes_total));
+  summary.set("steals", agg.steals_total);
+  summary.set("grants", agg.grants_total);
+  summary.set("mds_ops", static_cast<double>(agg.mds_ops_total));
+  summary.set("mds_service_s", agg.mds_service_total);
+  // Global, not run-scoped: every metadata dispatch attributes to its
+  // server, whether or not a run is in flight — a bench driving the tier
+  // directly still gets a per-MDS table.
+  if (fold.mds_ops() > 0) {
     Json tier = Json::object();
-    for (const auto& [idx, m] : mds_servers) {
-      Json mj = Json::object();
-      mj.set("ops", static_cast<double>(m.ops));
-      mj.set("items", static_cast<double>(m.items));
-      mj.set("service_s", m.service_s);
-      mj.set("peak_queue", static_cast<double>(m.peak_queue));
-      tier.set("mds" + std::to_string(idx), std::move(mj));
-    }
+    const std::vector<RunFold::Mds>& servers = fold.mds_servers();
+    for (std::size_t idx = 0; idx < servers.size(); ++idx)
+      if (servers[idx].ops > 0) tier.set("mds" + std::to_string(idx), mds_json(servers[idx]));
     summary.set("mds_servers", std::move(tier));
   }
-  summary.set("run_time", stat_block(run_time, run_hist));
-  summary.set("writer_time", stat_block(writer_time, writer_hist));
+  summary.set("run_time", stat_block(agg.run_time, agg.run_hist));
+  summary.set("writer_time", stat_block(agg.writer_time, agg.writer_hist));
 
-  Json attrib = Json::object();
-  attrib.set("total_wait_s", wait_s);
-  attrib.set("internal_s", int_s);
-  attrib.set("external_s", ext_s);
-  attrib.set("mds_s", mds_s);
-  attrib.set("network_s", net_s);
-  const double denom = wait_s > 0.0 ? wait_s : 1.0;
-  attrib.set("internal_share", int_s / denom);
-  attrib.set("external_share", ext_s / denom);
-  attrib.set("mds_share", mds_s / denom);
-  attrib.set("network_share", net_s / denom);
-  attrib.set("attributed_frac",
-             wait_s > 0.0 ? (int_s + ext_s + mds_s + net_s) / wait_s : 1.0);
-  summary.set("attribution", std::move(attrib));
+  summary.set("attribution", attribution_json(fold.closed()));
 
-  if (cp_runs > 0) {
+  if (agg.cp_runs > 0) {
     // Aggregate critical path: the bounded seconds by type, summed over
     // runs.  Unlike attribution (all writers' waits) this is only the time
     // that actually gated end-to-end completion.
+    const PathTotals& cp = agg.cp_agg;
     Json cpj = Json::object();
-    cpj.set("runs", static_cast<double>(cp_runs));
-    cpj.set("span_s", cp_agg.span_s);
-    cpj.set("mds_s", cp_agg.mds_s);
-    cpj.set("internal_s", cp_agg.internal_s);
-    cpj.set("external_s", cp_agg.external_s);
-    cpj.set("network_s", cp_agg.network_s);
-    cpj.set("residual_s", cp_agg.residual_s);
-    const double cp_denom = cp_agg.span_s > 0.0 ? cp_agg.span_s : 1.0;
-    cpj.set("mds_share", cp_agg.mds_s / cp_denom);
-    cpj.set("internal_share", cp_agg.internal_s / cp_denom);
-    cpj.set("external_share", cp_agg.external_s / cp_denom);
-    cpj.set("network_share", cp_agg.network_s / cp_denom);
-    cpj.set("residual_share", cp_agg.residual_s / cp_denom);
+    cpj.set("runs", static_cast<double>(agg.cp_runs));
+    cpj.set("span_s", cp.span_s);
+    cpj.set("mds_s", cp.mds_s);
+    cpj.set("internal_s", cp.internal_s);
+    cpj.set("external_s", cp.external_s);
+    cpj.set("network_s", cp.network_s);
+    cpj.set("residual_s", cp.residual_s);
+    const double cp_denom = cp.span_s > 0.0 ? cp.span_s : 1.0;
+    cpj.set("mds_share", cp.mds_s / cp_denom);
+    cpj.set("internal_share", cp.internal_s / cp_denom);
+    cpj.set("external_share", cp.external_s / cp_denom);
+    cpj.set("network_share", cp.network_s / cp_denom);
+    cpj.set("residual_share", cp.residual_s / cp_denom);
     summary.set("critical_path", std::move(cpj));
   }
 
   if (!prof_shards.empty()) {
+    // Host-runtime artifact (obs/prof.hpp): surfaced verbatim, never folded
+    // into simulated-time accounting.
     Json prof = Json::array();
     for (const Record& r : prof_shards) {
       Json pj = Json::object();
@@ -518,13 +291,14 @@ Json analyze(const Journal& journal) {
   }
 
   Json steals_doc = Json::object();
-  steals_doc.set("completed", static_cast<double>(steals_completed));
-  steals_doc.set("saved_s", saved_total);
+  steals_doc.set("completed", static_cast<double>(agg.steals_completed));
+  steals_doc.set("saved_s", agg.saved_total);
   steals_doc.set("mean_saved_s",
-                 steals_completed > 0 ? saved_total / static_cast<double>(steals_completed)
-                                      : 0.0);
+                 agg.steals_completed > 0
+                     ? agg.saved_total / static_cast<double>(agg.steals_completed)
+                     : 0.0);
   Json sources = Json::object();
-  for (const auto& [group, sa] : per_source) {
+  for (const auto& [group, sa] : agg.per_source) {
     Json sj = Json::object();
     sj.set("ost", sa.ost);
     sj.set("steals", static_cast<double>(sa.steals));
@@ -536,18 +310,18 @@ Json analyze(const Journal& journal) {
 
   Json osts_doc = Json::object();
   std::vector<std::pair<std::uint32_t, double>> by_mean;
-  for (const auto& [ost, agg] : osts) {
+  for (const auto& [ost, o] : agg.osts) {
     Json oj = Json::object();
-    oj.set("writes", static_cast<double>(agg.writes));
-    oj.set("bytes", agg.bytes);
-    oj.set("mean_s", agg.time.mean());
-    oj.set("cov", agg.time.cv());
-    oj.set("p99_s", agg.hist.quantile(0.99));
-    oj.set("max_s", agg.time.max());
-    oj.set("wait_internal_s", agg.wait_int);
-    oj.set("wait_external_s", agg.wait_ext);
+    oj.set("writes", static_cast<double>(o.writes));
+    oj.set("bytes", o.bytes);
+    oj.set("mean_s", o.time.mean());
+    oj.set("cov", o.time.cv());
+    oj.set("p99_s", o.hist.quantile(0.99));
+    oj.set("max_s", o.time.max());
+    oj.set("wait_internal_s", o.wait_int);
+    oj.set("wait_external_s", o.wait_ext);
     osts_doc.set("ost" + std::to_string(ost), std::move(oj));
-    if (agg.writes > 0) by_mean.emplace_back(ost, agg.time.mean());
+    if (o.writes > 0) by_mean.emplace_back(ost, o.time.mean());
   }
   summary.set("osts", std::move(osts_doc));
   std::sort(by_mean.begin(), by_mean.end(),

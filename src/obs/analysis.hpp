@@ -1,15 +1,18 @@
 // Post-run variability analytics over the run journal (obs/journal.hpp).
 //
 // `analyze` reduces a journal's record stream to the self-contained
-// `aio-report-v1` JSON document:
+// `aio-report-v1` JSON document.  It is the record fold (obs/run_fold.hpp)
+// plus JSON: the fold interprets the records and closes each run, and the
+// report's sink turns every closed run into rows and running aggregates —
+// the same fold, and so the same attribution, the live plane publishes:
 //
 //  * stall attribution — every simulated second a writer spends between run
 //    begin and its first data byte is split into MDS service (open phase),
 //    internal queueing (waiting behind its group's earlier writers), external
 //    interference (the home OST's background net/disk load, integrated over
-//    the writer's queue interval from the OST state timeline) and network
-//    transfer of the write signal.  The four components partition the wait
-//    exactly, so `attributed_frac` is 1.0 by construction.
+//    the writer's queue interval) and network transfer of the write signal.
+//    The four components partition the wait exactly, so `attributed_frac`
+//    is 1.0 by construction.
 //  * variability statistics — per-run completion time (t_complete −
 //    t_open_done, the paper's reported io_seconds) and per-writer write time,
 //    as mean/stddev/CoV (exact, Welford) plus quartiles/p90/p99 from the
@@ -30,14 +33,25 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/run_fold.hpp"
 
 namespace aio::obs {
 
 class Journal;
 
 /// Reduces `journal` to an aio-report-v1 document.  Total: parses every
-/// record stream the instrumented stack can produce, including an empty one.
+/// record stream the instrumented stack can produce, including an empty one;
+/// malformed records (RunFold::ingest) are skipped and counted in
+/// `journal.malformed`, a key present only when the count is non-zero.
 [[nodiscard]] Json analyze(const Journal& journal);
+
+/// The report's `summary.attribution` block for `w`; the live plane's final
+/// row carries the same block.
+[[nodiscard]] Json attribution_json(const WaitSplit& w);
+
+/// One metadata server's row (ops, items, service_s, peak_queue), in the
+/// report's `summary.mds_servers` and the live rows' `mds.servers`.
+[[nodiscard]] Json mds_json(const RunFold::Mds& m);
 
 /// Terse end-of-run summary: writers, steals, run/writer CoV and p99, wait
 /// attribution shares, top-3 straggler OSTs, steal savings.  Multi-line,

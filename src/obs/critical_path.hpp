@@ -43,8 +43,9 @@ struct PathSeg {
   double t1;
 };
 
-/// Everything the extraction needs from one run, distilled by analyze()'s
-/// record fold.  Times < 0 mean "not observed".
+/// Everything the extraction needs from one run, distilled by the record
+/// fold (obs/run_fold.hpp) when the run closes.  Times < 0 mean "not
+/// observed".
 struct PathInputs {
   double t_open = -1.0;      ///< kOpenDone mark (the interval's left edge)
   double t_data_done = -1.0; ///< kDataDone mark

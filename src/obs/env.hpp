@@ -1,6 +1,6 @@
-// Strict environment-variable parsing, shared by the library's
-// observability knobs (AIO_LIVE window geometry, flight-recorder capacity)
-// and the bench binaries (bench/env.hpp forwards here).
+// Strict environment-variable parsing, shared by the library's knobs
+// (AIO_LIVE_PERIOD_S, AIO_BENCH_MAX_STEPS) and the bench binaries
+// (bench/env.hpp forwards here).
 //
 // Strict by design: a value that fails to parse (trailing junk, overflow,
 // non-positive) is *rejected with a one-line stderr warning* and the caller

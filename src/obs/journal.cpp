@@ -76,6 +76,15 @@ std::optional<Journal> Journal::load(const std::string& path) {
   bool ok = std::fread(&h, sizeof(h), 1, f) == 1 &&
             std::memcmp(h.magic, kMagic, sizeof(kMagic)) == 0 && h.version == 1 &&
             h.record_size == sizeof(Record);
+  // The header's count must fit in the file: a corrupt count would otherwise
+  // size the record buffer before the short read is noticed.
+  if (ok) {
+    const long here = std::ftell(f);
+    ok = here >= 0 && std::fseek(f, 0, SEEK_END) == 0;
+    const long end = ok ? std::ftell(f) : -1;
+    ok = ok && end >= here && std::fseek(f, here, SEEK_SET) == 0 &&
+         h.count <= static_cast<std::uint64_t>(end - here) / sizeof(Record);
+  }
   Journal j(Config{path, std::numeric_limits<std::size_t>::max()});
   if (ok) {
     j.records_.resize(h.count);

@@ -3,18 +3,22 @@
 //
 // The journal (obs/journal.hpp) records what happened for *offline* analysis
 // (obs/analysis.cpp); the live plane ingests the very same `Record` stream
-// *during* the run and maintains, incrementally:
+// *during* the run.  Both drive the one record fold (obs/run_fold.hpp), so
+// the run-scoped interpretation — marks, file map, writer slots, steal
+// chains, external-load integrals, MDS aggregates — exists once.  On top of
+// the fold the plane keeps, incrementally:
 //
 //   * the exhaustive writer-wait partition (mds / internal / external /
-//     network) — cumulative totals that agree with the offline analyzer to
-//     floating-point noise (CI gates the match at 1e-6), plus a sliding
-//     window over a ring of fixed-duration slots;
+//     network): cumulative totals (the fold's closed runs plus the open
+//     run's partial; after flush() exactly the report's summary.attribution,
+//     which CI checks for equality) and a sliding window over a ring of
+//     fixed-duration slots;
 //   * per-OST state: a time-decayed EWMA of external load (max of net/disk
 //     background fractions), an EWMA of writer service time, and a
 //     straggler score combining the two;
-//   * per-group steal-benefit estimates keyed by `grant_seq`, priced online
-//     against the same no-steal counterfactual the analyzer uses (queue
-//     depth x source service time), with the live EWMA standing in for the
+//   * steal-benefit estimates: each completed chain priced online against
+//     the same no-steal counterfactual the analyzer uses (queue depth x
+//     source service time), with a per-file service EWMA standing in for the
 //     end-of-run mean;
 //   * run-level timing: CoV over a bounded ring of recent run times and p99
 //     from an `obs::Histogram` log-bucket sketch.
@@ -31,9 +35,10 @@
 // with it attached is bit-identical to one without.  Its output:
 //   * snapshots: when `AIO_LIVE=<path>` is set, a periodic daemon (armed by
 //     the host next to the metrics sampler) appends one aio-live-v1 JSON
-//     row per tick; `flush()` appends a `"final": true` row carrying the
-//     cumulative attribution in the report's shape.  Rows are fflush()ed as
-//     written, so a crashed run keeps every completed row.
+//     row per tick; `flush()` closes the fold's open run and appends a
+//     `"final": true` row carrying the cumulative attribution in the
+//     report's shape.  Rows are fflush()ed as written, so a crashed run
+//     keeps every completed row.
 //   * queries: `view()` and `straggler_score()` for hosts and tests.
 //
 // The flight recorder is a bounded ring of the most recent records.  On
@@ -50,24 +55,9 @@
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/run_fold.hpp"
 
 namespace aio::obs {
-
-namespace prof {
-class ShardProfiler;
-}
-
-/// One wait-attribution bucket: either a window slot or the cumulative
-/// totals.  Components sum to `total_s` exactly (the partition is
-/// exhaustive by construction, like the offline analyzer's).
-struct LiveWait {
-  double mds_s = 0.0;
-  double internal_s = 0.0;
-  double external_s = 0.0;
-  double network_s = 0.0;
-  double total_s = 0.0;
-  std::uint64_t writers = 0;
-};
 
 /// Point-in-time view of one OST.
 struct LiveOst {
@@ -98,8 +88,8 @@ struct LiveSteals {
 struct LiveView {
   double t = 0.0;
   std::uint64_t runs = 0;
-  LiveWait window;
-  LiveWait cumulative;
+  WaitSplit window;
+  WaitSplit cumulative;
   LiveRunStats run_time;
   LiveSteals steals;
   std::vector<LiveOst> stragglers;  ///< top-k by score desc, then OST id asc
@@ -112,8 +102,8 @@ class LivePlane {
     /// keeps the plane query-only.
     std::string snapshot_path;
     double snapshot_period_s = 1.0;  ///< host daemon cadence (AIO_LIVE_PERIOD_S)
-    double window_slot_s = 1.0;      ///< seconds per wait-window slot (AIO_LIVE_WINDOW_S)
-    std::size_t window_slots = 16;   ///< ring length (AIO_LIVE_SLOTS)
+    double window_slot_s = 1.0;      ///< seconds per wait-window slot
+    std::size_t window_slots = 16;   ///< window ring length
     double ewma_tau_s = 2.0;         ///< time constant of the load/service EWMAs
     std::size_t run_window = 64;     ///< recent-runs ring for windowed CoV
     std::size_t flight_records = 65'536;  ///< flight-recorder ring; 0 disables
@@ -127,14 +117,14 @@ class LivePlane {
 
   /// Builds a plane when `AIO_LIVE` (snapshot rows; "1"/"-" = query-only)
   /// or `AIO_FLIGHT` (flight-recorder dump path) is set; nullptr when both
-  /// are unset.  Knobs AIO_LIVE_PERIOD_S / AIO_LIVE_WINDOW_S /
-  /// AIO_LIVE_SLOTS / AIO_FLIGHT_RECORDS parse strictly (obs/env.hpp).
-  /// Paths are numbered per machine `slot` (numbered_path), which
-  /// obs::Observers resolves.
+  /// are unset.  AIO_LIVE_PERIOD_S parses strictly (obs/env.hpp); the
+  /// other Config fields keep their defaults.  Paths are numbered per
+  /// machine `slot` (numbered_path), which obs::Observers resolves.
   [[nodiscard]] static std::unique_ptr<LivePlane> from_env(int slot);
 
   /// Folds one journal record into the live state.  Allocation-free once
-  /// the first run has sized the per-run vectors.
+  /// the first run has sized the per-run vectors.  Malformed records
+  /// (RunFold::ingest) are kept by the flight recorder and otherwise ignored.
   void ingest(const Record& r);
 
   // --- queries (the LiveView API) -------------------------------------------
@@ -149,14 +139,12 @@ class LivePlane {
 
   /// Sum over the live window ring (the last window_slots * window_slot_s
   /// seconds of writer completions).
-  [[nodiscard]] LiveWait window() const;
-  /// Exact cumulative totals — the values CI compares against the offline
-  /// analyzer's summary.attribution.
-  [[nodiscard]] const LiveWait& cumulative() const { return cum_; }
+  [[nodiscard]] WaitSplit window() const;
+  /// Closed runs plus the open run's partial; after flush() exactly the
+  /// offline analyzer's summary.attribution.
+  [[nodiscard]] WaitSplit cumulative() const { return fold_.cumulative(); }
   [[nodiscard]] LiveRunStats run_stats() const;
   [[nodiscard]] LiveSteals steals() const { return steals_; }
-  /// Estimated seconds saved by steals sourced from `group` so far.
-  [[nodiscard]] double steal_benefit_s(std::uint32_t group) const;
   [[nodiscard]] std::size_t n_osts_seen() const { return osts_.size(); }
   [[nodiscard]] LiveOst ost_view(std::uint32_t ost) const;
   /// Bounded top-k selection: O(n + n log k) per call, not a fleet sort.
@@ -168,8 +156,9 @@ class LivePlane {
   [[nodiscard]] Json snapshot_json(double now, bool final = false) const;
   /// Appends one row to the snapshot file (no-op when query-only).
   void snapshot_tick(double now);
-  /// Appends the `"final": true` row and closes the snapshot file.
-  /// Idempotent; safe to call from both failure paths and destructors.
+  /// Closes the fold's open run, appends the `"final": true` row and closes
+  /// the snapshot file.  Idempotent; safe to call from both failure paths
+  /// and destructors.
   void flush();
   [[nodiscard]] std::uint64_t rows_written() const { return rows_; }
   /// Snapshot rows that could not be written (open or write failure).
@@ -186,48 +175,21 @@ class LivePlane {
 
   [[nodiscard]] const Config& config() const { return config_; }
 
-  /// Attaches a host-runtime profiler (obs/prof.hpp).  When set, snapshot
-  /// rows gain a `prof` block with the cumulative per-run host-time split —
-  /// the live plane only *reads* the profiler's slots, so arming it changes
-  /// nothing about ingest() or the simulated stream.
-  void set_profiler(const prof::ShardProfiler* p) { prof_ = p; }
-  [[nodiscard]] const prof::ShardProfiler* profiler() const { return prof_; }
-
  private:
   struct OstState {
-    double last_t = 0.0;      // time of the last kOstState
-    double ext = 0.0;         // current max(net_load, disk_load)
-    double cum_ext = 0.0;     // integral of ext up to last_t
-    double ext_at_open = 0.0; // integral snapshot at this run's t_open
     double load_ewma = 0.0;
     double load_ewma_t = -1.0;
     double svc_ewma = 0.0;
     double svc_ewma_t = -1.0;
     std::uint64_t writes = 0;
     std::uint32_t m_dirty = 0;
-    /// Step-function integral of ext extended to time `t` >= last_t.
-    [[nodiscard]] double cum_at(double t) const { return cum_ext + (t - last_t) * ext; }
   };
-  struct WriterSlot {
-    double signal_t = -1.0;
-    double start_t = -1.0;
-    double ext_at_signal = 0.0;  // home-OST load integral at signal time
-    std::uint32_t target = 0;
-    std::uint32_t origin = 0;
-  };
-  struct GrantSlot {
-    double t = -1.0;
-    double queue_depth = 0.0;
-    std::uint32_t source = 0;
-  };
+  /// Service EWMA of one file (the steal counterfactual's source rate).
   struct GroupState {
     double svc_ewma = 0.0;
     double svc_ewma_t = -1.0;
-    std::uint64_t steals = 0;
-    double est_saved_s = 0.0;
   };
 
-  void ensure_ost(std::uint32_t id);
   /// Mean writer service time over the run so far (0 before any write).
   [[nodiscard]] double fleet_service_mean() const;
   /// straggler_score() of `o` against a precomputed fleet mean.
@@ -236,35 +198,27 @@ class LivePlane {
   [[nodiscard]] LiveOst row_of(std::uint32_t ost, double score) const;
   /// Advances the window ring to the slot containing `t`, zeroing skipped
   /// slots.
-  LiveWait& slot_at(double t);
+  WaitSplit& slot_at(double t);
   /// Time-decayed EWMA update toward `v` observed at `t`.
   static double ewma_toward(double prev, double prev_t, double v, double t, double tau);
   void on_writer_end(const Record& r);
-  [[nodiscard]] static Json wait_json(const LiveWait& w);
+  [[nodiscard]] static Json wait_json(const WaitSplit& w);
 
   Config config_;
+  RunFold fold_;
   double now_ = 0.0;
-
-  // Current-run context (reset at kRunBegin).
-  double run_t_begin_ = 0.0;
-  double run_t_open_ = -1.0;
-  std::uint32_t run_writers_ = 0;
   std::uint64_t runs_completed_ = 0;
 
-  std::vector<OstState> osts_;
-  std::vector<WriterSlot> writers_;
-  std::vector<std::uint32_t> file_ost_;
-  std::vector<GrantSlot> grants_;   // indexed by grant_seq within the run
-  std::vector<GroupState> groups_;  // cross-run: EWMAs + steal totals
+  std::vector<OstState> osts_;      // sized to the fold's OSTs
+  std::vector<GroupState> groups_;  // by file, across runs
 
   // Fleet-wide service statistics (straggler-score denominator).
   std::uint64_t svc_count_ = 0;
   double svc_sum_ = 0.0;
 
-  // Wait-window ring + cumulative totals.
-  std::vector<LiveWait> slots_;
+  // Wait-window ring.
+  std::vector<WaitSplit> slots_;
   std::int64_t cur_slot_ = INT64_MIN;
-  LiveWait cum_;
 
   // Run-level timing.
   std::vector<double> run_ring_;
@@ -272,23 +226,10 @@ class LivePlane {
   Histogram run_hist_;
 
   LiveSteals steals_;
-  std::uint64_t mds_ops_ = 0;
-  double mds_service_s_ = 0.0;
-  // Per-server attribution of the same stream, indexed by the record's MDS
-  // id; single-server runs keep one slot and the snapshot stays flat.
-  struct LiveMds {
-    std::uint64_t ops = 0;
-    std::uint64_t items = 0;
-    double service_s = 0.0;
-    std::uint32_t peak_queue = 0;
-  };
-  std::vector<LiveMds> mds_servers_;
 
   std::vector<Record> flight_;
   std::size_t flight_next_ = 0;
   std::uint64_t flight_total_ = 0;
-
-  const prof::ShardProfiler* prof_ = nullptr;
 
   std::FILE* snap_ = nullptr;
   std::uint64_t rows_ = 0;

@@ -27,8 +27,7 @@
 // Armed by the benches from `AIO_PROF` (see bench/env.hpp: "1"/"-" = stderr
 // summary, otherwise an aio-prof-v1 JSON path) with optional periodic
 // one-line stderr rows every `AIO_PROF_PERIOD_S` host seconds.  Snapshots
-// surface through `LivePlane::snapshot_json` as `prof.*` keys and land in
-// the bench JSON rows of macro_jaguar / macro_createstorm.
+// land in the bench JSON rows of macro_jaguar / macro_createstorm.
 #pragma once
 
 #include <chrono>

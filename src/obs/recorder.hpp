@@ -11,8 +11,9 @@
 //     derives from it: the aio-report-v1 analysis, the critical path, and
 //     the Chrome trace (`AIO_TRACE` is rendered from the journal at the end
 //     of the run, obs/trace_export.hpp);
-//   * a LivePlane — online sliding windows, straggler scores, and the
-//     flight-recorder ring;
+//   * a LivePlane — the record fold the offline report also runs
+//     (obs/run_fold.hpp), plus online sliding windows, straggler scores, and
+//     the flight-recorder ring;
 //   * a metrics Registry, whose counters derive from record kinds:
 //       mds.ops                        one per kMdsOp
 //       storage.cache_full_crossings   0->1 edges of kOstState.a, per OST

@@ -9,7 +9,8 @@
 //   * sending + delivering a protocol-sized network message,
 //   * an OST write round-trip,
 //   * every control-plane FSM step a delivered message triggers
-//     (DO_WRITE, WRITE_COMPLETE, steal grant / decline handling).
+//     (DO_WRITE, WRITE_COMPLETE, steal grant / decline handling),
+//   * the live plane's ingest of a run's records (its record fold included).
 //
 // If a future change reintroduces a per-message allocation — a widened
 // closure falling off the SBO, a map node per stream, a vector rebuilt per
@@ -25,6 +26,7 @@
 #include <memory>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
@@ -36,6 +38,7 @@
 #include "fs/ost.hpp"
 #include "net/network.hpp"
 #include "obs/journal.hpp"
+#include "obs/live.hpp"
 #include "obs/prof.hpp"
 #include "obs/recorder.hpp"
 #include "sim/engine.hpp"
@@ -411,12 +414,66 @@ TEST(AllocGuard, BatchedMdsStormAllocatesLessThanPerFile) {
       << "batched storm allocated " << batched << " vs per-file " << perfile;
 }
 
+// --- live plane --------------------------------------------------------------
+
+// The live plane rides every observed record, so its ingest — the record fold
+// underneath included — must not allocate once a run of the same shape has
+// sized the per-run vectors.  One real run's stream (steals, MDS opens, a
+// loaded OST) warms a fresh plane; the same stream replayed later in
+// simulated time closes the warm-up run at its kRunBegin, rolls the window
+// ring over and runs a second run, all without touching the allocator.
+TEST(AllocGuard, LivePlaneIngestIsAllocationFree) {
+  obs::Journal journal({/*path=*/"", /*max_records=*/1u << 16});
+  {
+    obs::Recorder recorder(&journal);
+    sim::Engine engine(&recorder);
+    fs::FsConfig fc;
+    fc.n_osts = 2;
+    fc.fabric_bw = 0.0;
+    fc.stripe_limit = 2;
+    fc.default_stripe_size = 1e6;
+    fc.ost.ingest_bw = 100e6;
+    fc.ost.disk_bw = 10e6;
+    fc.ost.cache_bytes = 50e6;
+    fc.ost.per_stream_cap = 0.0;
+    fc.ost.alpha = 0.0;
+    fc.ost.eff_floor = 0.0;
+    fc.mds.open_base_s = 1e-4;
+    fc.mds.close_base_s = 1e-4;
+    fs::FileSystem filesystem(engine, fc);
+    filesystem.ost(1).set_load(0.8, 0.8);
+    net::Network network(engine, net::NetConfig{1e-6, 10e9, 8}, 64);
+    AdaptiveTransport::Config ac;
+    ac.n_files = 2;
+    ac.open_mode = AdaptiveTransport::Config::OpenMode::Storm;
+    AdaptiveTransport transport(filesystem, network, ac);
+    transport.run(IoJob::uniform(8, 8e6), [](IoResult) {});
+    engine.run();
+  }
+  const std::vector<obs::Record> stream = journal.records();
+  ASSERT_GT(stream.size(), 50u);
+
+  obs::LivePlane plane({});  // defaults, flight recorder enabled
+  for (const obs::Record& r : stream) plane.ingest(r);
+
+  AllocGuard guard;
+  guard.start();
+  for (const obs::Record& r : stream) {
+    obs::Record shifted = r;
+    shifted.t += 5000.0;
+    plane.ingest(shifted);
+  }
+  EXPECT_EQ(guard.stop(), 0u) << "live-plane ingest allocated in steady state";
+  EXPECT_EQ(plane.runs_completed(), 2u);
+  EXPECT_GT(plane.steals().completed, 0u);
+}
+
 // --- shard-runtime profiler --------------------------------------------------
 
 // The profiler's worker-side surface — slot accumulation each barrier round,
-// plus the aggregations the live plane reads mid-run — must be allocation-
-// free once bind() has sized the slot array: armed profiling may read the
-// host clock, but it must never touch the allocator from the round loop.
+// plus the totals() / imbalance() aggregations — must be allocation-free
+// once bind() has sized the slot array: armed profiling may read the host
+// clock, but it must never touch the allocator from the round loop.
 TEST(AllocGuard, ShardProfilerSteadyStateIsAllocationFree) {
   obs::prof::ShardProfiler prof;
   prof.bind(8);  // the one allocation, outside the guard
@@ -438,7 +495,7 @@ TEST(AllocGuard, ShardProfilerSteadyStateIsAllocationFree) {
     }
     prof.maybe_tick();  // period 0: the armed-but-quiet fast path
     if ((round & 255u) == 0u) {
-      // What LivePlane::snapshot_json reads per tick.
+      // A mid-run read of the aggregates.
       const obs::prof::ShardProfiler::Slot t = prof.totals();
       const double imb = prof.imbalance();
       ASSERT_GE(t.rounds, 1u);

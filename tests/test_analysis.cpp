@@ -1,14 +1,16 @@
 // Tests for the run journal and its post-run analyzer: the golden 2-OST
 // attribution scenario (one externally loaded target), the external-load
-// integral over a multi-run OST timeline, binary round-trip,
-// steal provenance, exact agreement between the report's run_time statistics
-// and stats::Summary over IoResult::io_seconds(), and the report differ that
-// gates CI.
+// integral over a multi-run OST timeline, the record fold's edge cases with
+// the live plane's attribution equal to the report's, binary round-trip,
+// malformed journals, steal provenance, exact agreement between the report's
+// run_time statistics and stats::Summary over IoResult::io_seconds(), and
+// the report differ that gates CI.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "net/network.hpp"
 #include "obs/analysis.hpp"
 #include "obs/journal.hpp"
+#include "obs/live.hpp"
 #include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 #include "stats/summary.hpp"
@@ -205,6 +208,128 @@ TEST(Analysis, ExternalWaitIntegratesFromTheSegmentHoldingAtOpen) {
   EXPECT_DOUBLE_EQ(num_at(cp, {"totals", "external_s"}), run2_ext + 0.5 * 0.75);
 }
 
+TEST(Analysis, HandWrittenJournalEdgesAndLiveEquality) {
+  // Three runs on two OSTs (file f on OST f), records in time order:
+  //   run 1: OST 0 changes load at exactly t_open, once before the kOpenDone
+  //          mark (0.5) and once after it (0.75) — 0.75 holds from t_open on;
+  //          OST 1's first segment starts after t_open; no kComplete;
+  //   run 2: a kRunBegin closes run 1; one writer, complete;
+  //   run 3: trailing and incomplete (no kDataDone, no kComplete).
+  // All values are dyadic, so every sum below is exact.
+  obs::Journal journal({/*path=*/"", /*max_records=*/128});
+  const auto rec = [&](obs::Rec kind, double t, std::uint32_t id = 0, std::uint32_t u0 = 0,
+                       std::uint32_t u1 = 0) {
+    obs::Record r;
+    r.kind = kind;
+    r.t = t;
+    r.id = id;
+    r.u0 = u0;
+    r.u1 = u1;
+    journal.append(r);
+  };
+  const auto load = [&](std::uint32_t ost, double t, double ext) {
+    obs::Record r;
+    r.kind = obs::Rec::kOstState;
+    r.t = t;
+    r.id = ost;
+    r.v2 = ext;  // disk_load; the fold takes max(net, disk)
+    journal.append(r);
+  };
+  const auto mark = [&](obs::Mark m, double t) {
+    obs::Record r;
+    r.kind = obs::Rec::kRunMark;
+    r.t = t;
+    r.a = static_cast<std::uint8_t>(m);
+    journal.append(r);
+  };
+  const auto begin = [&](double t, std::uint32_t writers) {
+    obs::Record r;
+    r.kind = obs::Rec::kRunBegin;
+    r.t = t;
+    r.id = journal.begin_run();
+    r.u0 = writers;
+    r.u1 = 2;  // files
+    r.u2 = 2;  // osts
+    journal.append(r);
+    rec(obs::Rec::kFileMap, t, 0, 0, 0);
+    rec(obs::Rec::kFileMap, t, 0, 1, 1);
+  };
+  // Writer `w` of group (= file) `g`: signal, start, end.
+  const auto writer = [&](std::uint32_t w, std::uint32_t g, double signal, double start) {
+    rec(obs::Rec::kWriterSignal, signal, w, g, g);
+    rec(obs::Rec::kWriterStart, start, w, g);
+  };
+  const auto end = [&](std::uint32_t w, std::uint32_t g, double t) {
+    rec(obs::Rec::kWriterEnd, t, w, g);
+  };
+
+  load(0, 0.0, 0.25);
+  begin(1.0, 2);
+  load(0, 2.0, 0.5);  // at t_open, before the mark
+  mark(obs::Mark::kOpenDone, 2.0);
+  load(0, 2.0, 0.75);  // at t_open, after the mark
+  load(1, 3.0, 0.5);   // OST 1's first segment, after t_open
+  writer(0, 0, 4.0, 4.5);   // queue [2, 4] at 0.75: external 1.5, internal 0.5
+  writer(1, 1, 5.0, 5.25);  // queue [2, 5]: 0 until 3, then 0.5: external 1.0
+  end(0, 0, 6.0);
+  end(1, 1, 7.0);
+  mark(obs::Mark::kDataDone, 7.0);
+  begin(10.0, 1);  // run 1 never completed
+  mark(obs::Mark::kOpenDone, 10.5);
+  load(0, 11.0, 0.125);
+  writer(0, 0, 12.0, 12.5);  // queue [10.5, 12]: 0.75 * 0.5 + 0.125 * 1
+  end(0, 0, 13.0);
+  mark(obs::Mark::kDataDone, 13.0);
+  mark(obs::Mark::kComplete, 13.5);
+  begin(20.0, 1);
+  mark(obs::Mark::kOpenDone, 20.5);
+  writer(0, 0, 21.0, 21.25);  // queue [20.5, 21] at 0.125
+  end(0, 0, 22.0);
+  ASSERT_EQ(journal.dropped(), 0u);
+
+  const obs::Json report = obs::analyze(journal);
+  EXPECT_EQ(report.find("journal")->find("malformed"), nullptr);
+  ASSERT_EQ(report.find("runs")->size(), 3u);
+  EXPECT_EQ(num_at(report, {"summary", "writers"}), 4.0);
+  EXPECT_EQ(num_at(report, {"summary", "run_time", "count"}), 1.0);
+  EXPECT_EQ(num_at(report.find("runs")->at(0), {"run_time_s"}), -1.0);
+  EXPECT_EQ(report.find("runs")->at(0).find("critical_path"), nullptr);
+  EXPECT_EQ(report.find("runs")->at(2).find("critical_path"), nullptr);
+
+  const double external = 1.5 + 1.0 + (0.375 + 0.125) + 0.0625;
+  const double internal = 0.5 + 2.0 + 1.0 + 0.4375;
+  const double mds = 1.0 + 1.0 + 0.5 + 0.5;  // t_open - t_begin per writer
+  const double network = 0.5 + 0.25 + 0.5 + 0.25;
+  EXPECT_EQ(num_at(report, {"summary", "attribution", "external_s"}), external);
+  EXPECT_EQ(num_at(report, {"summary", "attribution", "internal_s"}), internal);
+  EXPECT_EQ(num_at(report, {"summary", "attribution", "mds_s"}), mds);
+  EXPECT_EQ(num_at(report, {"summary", "attribution", "network_s"}), network);
+  EXPECT_EQ(num_at(report, {"summary", "attribution", "total_wait_s"}),
+            external + internal + mds + network);
+  EXPECT_EQ(num_at(report, {"summary", "osts", "ost1", "wait_external_s"}), 1.0);
+
+  // Run 2's path: queue external 0.5 then internal to the signal, network to
+  // the start, service [12.5, 13] at 0.125 external, close network.
+  const obs::Json& cp = *report.find("runs")->at(1).find("critical_path");
+  EXPECT_EQ(num_at(cp, {"totals", "external_s"}), 0.5 + 0.0625);
+  EXPECT_EQ(num_at(cp, {"totals", "internal_s"}), 1.0 + 0.4375);
+  EXPECT_EQ(num_at(cp, {"totals", "network_s"}), 0.5 + 0.5);
+  EXPECT_EQ(num_at(cp, {"totals", "sum_s"}), 3.0);
+
+  // The live plane folds the same records the same way: once flushed, its
+  // final row's attribution is the report's, bit for bit.
+  obs::LivePlane::Config lc;
+  lc.flight_records = 0;
+  obs::LivePlane live(lc);
+  for (const obs::Record& r : journal.records()) live.ingest(r);
+  live.flush();
+  const obs::Json row = live.snapshot_json(live.now(), /*final=*/true);
+  const obs::Json& want = *report.find("summary")->find("attribution");
+  for (const auto& [key, value] : want.entries())
+    EXPECT_EQ(num_at(row, {"attribution", key.c_str()}), value.number()) << key;
+  EXPECT_EQ(num_at(row, {"cumulative", "writers"}), 4.0);
+}
+
 // --- binary round-trip -------------------------------------------------------
 
 TEST(Analysis, JournalRoundTripsThroughDisk) {
@@ -236,6 +361,63 @@ TEST(Analysis, JournalLoadRejectsGarbage) {
   EXPECT_FALSE(obs::Journal::load(path).has_value());
   EXPECT_FALSE(obs::Journal::load(path + ".missing").has_value());
   std::remove(path.c_str());
+}
+
+TEST(Analysis, MutatedJournalsAnalyzeSafely) {
+  // A corrupt journal must cost bounded memory and a clean exit, never a
+  // crash: byte-mutate a real journal (seeded, so failures reproduce) and
+  // push every mutant through Journal::load + analyze, as tools/aio_report
+  // does.  Hostile ids land in the report's journal.malformed count.
+  TwoOstRig rig;
+  for (const double load : {0.8, 0.2}) {
+    rig.filesystem.ost(1).set_load(load, load);
+    (void)rig.run();
+  }
+  const std::string path = testing::TempDir() + "aio_journal_mutant.bin";
+  ASSERT_TRUE(rig.journal.write(path));
+  std::vector<char> bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.insert(bytes.end(), buf, buf + n);
+    std::fclose(f);
+  }
+  constexpr std::size_t kHeader = 40;
+  ASSERT_GT(bytes.size(), kHeader + 50 * sizeof(obs::Record));
+
+  std::mt19937 rng(20100901u);
+  std::size_t loaded = 0, flagged = 0;
+  for (int m = 0; m < 256; ++m) {
+    std::vector<char> mutant = bytes;
+    if (m % 16 == 0) {
+      // An id field (record bytes 32..47: id, u0, u1, u2) set to 0xFFFFFFFF.
+      const std::size_t rec = rng() % ((bytes.size() - kHeader) / sizeof(obs::Record));
+      const std::size_t field = 32 + 4 * (rng() % 4);
+      std::memset(&mutant[kHeader + rec * sizeof(obs::Record) + field], 0xFF, 4);
+    } else {
+      // 1-4 random bytes anywhere, header included.
+      const int n = 1 + static_cast<int>(rng() % 4);
+      for (int i = 0; i < n; ++i)
+        mutant[rng() % mutant.size()] = static_cast<char>(rng() & 0xFF);
+    }
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(mutant.data(), 1, mutant.size(), f), mutant.size());
+    std::fclose(f);
+
+    const std::optional<obs::Journal> j = obs::Journal::load(path);
+    if (!j) continue;
+    ++loaded;
+    const obs::Json report = obs::analyze(*j);
+    EXPECT_EQ(report.find("schema")->str(), "aio-report-v1") << "mutant " << m;
+    EXPECT_FALSE(report.dump().empty());
+    if (report.find("journal")->find("malformed")) ++flagged;
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(loaded, 200u);
+  EXPECT_GT(flagged, 16u);
 }
 
 // --- exact agreement with bench statistics -----------------------------------

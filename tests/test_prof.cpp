@@ -1,8 +1,8 @@
 // Shard-runtime profiler (obs/prof.hpp): slot arithmetic and the aio-prof-v1
 // document, the armed-run invariants on a real sharded sweep — simulated
 // results bit-identical to the unarmed run, kProfShard journal records
-// appended at the final simulated time — the LivePlane `prof` snapshot
-// block, and the strict AIO_PROF / AIO_PROF_PERIOD_S env parsers.
+// appended at the final simulated time — and the strict AIO_PROF /
+// AIO_PROF_PERIOD_S env parsers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +17,6 @@
 #include "core/transports/sharded.hpp"
 #include "env.hpp"
 #include "obs/journal.hpp"
-#include "obs/live.hpp"
 #include "obs/prof.hpp"
 
 namespace {
@@ -261,38 +260,6 @@ TEST(ShardProfilerRun, WriteEmitsParsableDocument) {
   EXPECT_EQ(doc->find("schema")->str(), "aio-prof-v1");
   EXPECT_DOUBLE_EQ(num_at(*doc, {"n_shards"}), 2.0);
   EXPECT_GT(num_at(*doc, {"totals", "events"}), 0.0);
-}
-
-// --- the live-plane snapshot block -------------------------------------------
-
-TEST(ShardProfilerLive, SnapshotGrowsProfBlockOnlyWhenAttached) {
-  obs::LivePlane plane({});
-  const obs::Json bare = plane.snapshot_json(0.0);
-  EXPECT_EQ(bare.find("prof"), nullptr);
-
-  obs::prof::ShardProfiler prof;
-  prof.bind(2);
-  prof.slot(0).execute_s = 0.25;
-  prof.slot(0).rounds = 3;
-  prof.slot(1).execute_s = 0.75;
-  prof.slot(1).rounds = 3;
-  prof.slot(1).msgs_posted = 5;
-  prof.slot(1).msgs_drained = 5;
-  plane.set_profiler(&prof);
-  ASSERT_EQ(plane.profiler(), &prof);
-
-  const obs::Json row = plane.snapshot_json(1.0);
-  ASSERT_NE(row.find("prof"), nullptr);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "n_shards"}), 2.0);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "rounds"}), 3.0);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "execute_s"}), 1.0);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "msgs_posted"}), 5.0);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "imbalance"}), 1.5);
-
-  // An attached-but-unbound profiler stays invisible (no empty blocks).
-  obs::prof::ShardProfiler idle;
-  plane.set_profiler(&idle);
-  EXPECT_EQ(plane.snapshot_json(2.0).find("prof"), nullptr);
 }
 
 // --- AIO_PROF / AIO_PROF_PERIOD_S parsing ------------------------------------
