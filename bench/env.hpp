@@ -123,27 +123,6 @@ inline std::size_t positive_size_warn_once(const char* name, std::size_t fallbac
   return fallback;
 }
 
-/// Domain-grid override from `AIO_SIM_DOMAINS`: a positive integer, or 0
-/// (the default) for the built-in plan (min(32, n_osts)).
-inline std::size_t sim_domains() {
-  static bool warned = false;
-  return positive_size_warn_once("AIO_SIM_DOMAINS", 0, warned);
-}
-
-/// Announces (once per process, stderr only) when the requested domain
-/// count exceeds the OST count: the grid clamps to one OST span per domain,
-/// so the run uses fewer domains than asked for.
-inline void warn_domains_exceed_osts(std::size_t domains, std::size_t n_osts) {
-  if (domains == 0 || domains <= n_osts) return;
-  static bool warned = false;
-  if (warned) return;
-  warned = true;
-  std::fprintf(stderr,
-               "bench: AIO_SIM_DOMAINS=%zu exceeds n_osts=%zu; the domain grid clamps to %zu "
-               "(every domain needs a non-empty OST span)\n",
-               domains, n_osts, n_osts);
-}
-
 /// Metadata-server count from `AIO_MDS_COUNT`: a positive integer, 1 (the
 /// single-server model, byte-identical to pre-tier builds) when unset.
 inline std::size_t mds_count() {

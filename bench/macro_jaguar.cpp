@@ -20,9 +20,12 @@
 // column appears, each adaptive row runs through core::ShardedAdaptiveSim,
 // and the JSON rows carry a "shards" value plus window-loop telemetry
 // (window_batch, windows_executed, windows_skipped, barrier_rounds).
-// `AIO_SIM_DOMAINS` overrides the domain grid and `AIO_SIM_WINDOW_BATCH`
-// the window multiplier.  Unset, the bench's stdout is byte-identical to a
-// build without sharding.
+// `AIO_SIM_WINDOW_BATCH` sets the window multiplier.  Unset, the bench's
+// stdout is byte-identical to a build without sharding.  Sharded rows are
+// observed like classic ones: the one set of observers hands its recorder to
+// the shard group and attaches shard 0's engine, so AIO_JOURNAL, AIO_REPORT,
+// AIO_TRACE, AIO_LIVE and AIO_METRICS cover every row, and each is
+// byte-identical at any shard count.
 //
 // `AIO_PROF` (bench/env.hpp) arms the shard-runtime profiler on the sharded
 // rows: a one-line stderr host-time split per sweep point, prof_* values in
@@ -157,13 +160,11 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
 }
 
 /// One cold sharded sample: a ShardedAdaptiveSim sized to `procs` running at
-/// `n_shards` shards.  Per-shard journal records are canonically merged and
-/// re-homed into the bench-wide journal under a fresh run ordinal, so
-/// tools/aio_report reads sharded and classic runs out of one file.
+/// `n_shards` shards, fed to the bench-wide observers like a classic run, so
+/// tools/aio_report reads sharded and classic runs out of one journal.
 RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConfig& model,
-                        std::size_t procs, std::size_t n_shards, std::size_t n_domains,
-                        double window_batch, obs::Journal* journal,
-                        obs::prof::ShardProfiler* prof) {
+                        std::size_t procs, std::size_t n_shards, double window_batch,
+                        obs::Observers& observers, obs::prof::ShardProfiler* prof) {
   const std::uint64_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -173,11 +174,11 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   cfg.fs = spec.fs;
   cfg.net = net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node};
   enable_streamed_merge(cfg.adaptive, 0);  // n_files = 0: one file per OST
-  cfg.collect_journal = journal != nullptr;
-  cfg.n_domains = n_domains;
+  cfg.recorder = observers.recorder();
   cfg.window_batch = window_batch;
   cfg.profiler = prof;  // re-bound (and zeroed) per sample by set_profiler
   core::ShardedAdaptiveSim sim(cfg);
+  observers.attach(sim.shards().engine(0));
   const core::IoResult result = sim.run(workload::pixie3d_job(model, procs));
 
   RunCost cost;
@@ -201,18 +202,6 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   }
   const std::uint64_t rss1 = current_rss_bytes();
   cost.rss_delta = rss1 > rss0 ? rss1 - rss0 : 0;
-
-  if (journal) {
-    const std::uint32_t run_id = journal->begin_run();
-    for (obs::Record r : sim.merged_records()) {
-      // Run-scoped records carry the per-shard journals' local ordinal (1);
-      // re-home them under the bench journal's run numbering.
-      if (r.kind == obs::Rec::kRunBegin || r.kind == obs::Rec::kRunMark ||
-          r.kind == obs::Rec::kFileMap)
-        r.id = run_id;
-      journal->append(r);
-    }
-  }
   return cost;
 }
 
@@ -222,7 +211,6 @@ int main() {
   const std::size_t samples = bench::samples_or(1);
   const std::size_t max_procs = bench::max_procs_or(224160);
   const std::vector<std::size_t> shard_sweep = bench::shard_sweep();
-  const std::size_t sim_domains = bench::sim_domains();
   const double window_batch = bench::window_batch();
   bench::warn_unreached_max_procs(max_procs, {16384, 65536, 224160});
   bench::banner("macro_jaguar",
@@ -235,20 +223,14 @@ int main() {
 
   const fs::MachineSpec spec = fs::jaguar();
   const workload::Pixie3dConfig model = workload::Pixie3dConfig::small_model();
-  if (!shard_sweep.empty()) bench::warn_domains_exceed_osts(sim_domains, spec.fs.n_osts);
 
   // One set of observers across the whole sweep (serial bench, one
-  // "machine" at a time), attached to each classic run's engine: each
-  // adaptive run appends its own kRunBegin..kComplete span to the journal,
-  // and the live plane's overhead (or lack of it) is the number this bench
-  // exists to measure, so it rides through every run.
+  // "machine" at a time), attached to each run's engine (shard 0's, for a
+  // sharded run): each adaptive run appends its own kRunBegin..kComplete
+  // span to the journal, and the live plane's overhead (or lack of it) is
+  // the number this bench exists to measure, so it rides through every run.
   obs::Observers observers(/*slot=*/0);
-  obs::Journal* const journal = observers.journal();
-  if (journal) journal->reserve(1 << 20);
-  if (observers.live() && !shard_sweep.empty())
-    std::fprintf(stderr,
-                 "macro_jaguar: AIO_LIVE is ignored for sharded adaptive rows "
-                 "(the live plane is single-engine)\n");
+  if (obs::Journal* journal = observers.journal()) journal->reserve(1 << 20);
   // Shard-runtime profiler (AIO_PROF): one instance reused across the sweep
   // (each sample re-binds and zeroes it).  Per-sweep-point documents are
   // collected and written as one aio-prof-v1 array at the end.
@@ -325,8 +307,8 @@ int main() {
           stats::Summary wall;
           RunCost last;
           for (std::size_t s = 0; s < samples; ++s) {
-            last = run_one_sharded(spec, model, procs, n_shards, sim_domains, window_batch,
-                                   journal, prof.get());
+            last = run_one_sharded(spec, model, procs, n_shards, window_batch, observers,
+                                   prof.get());
             wall.add(last.wall_s);
           }
           emit(procs, "adaptive", n_shards, wall, last);

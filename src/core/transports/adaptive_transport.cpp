@@ -72,9 +72,9 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   }
 
   /// Records go to the acting engine's recorder.  In sharded runs every
-  /// shard engine carries a journal-only recorder (or none), merged
-  /// canonically after the run, so the gate is all-or-none across shards
-  /// and is read once, at construction.
+  /// shard engine carries its buffer of the host's recorder (or none,
+  /// sim::ShardGroup::set_recorder), so the gate is all-or-none across
+  /// shards and is read once, at construction.
   [[nodiscard]] bool observing() const { return observing_; }
   void obs_append(const obs::Record& r) {
     if (observing_) eng().recorder()->emit(r);
@@ -190,14 +190,10 @@ void AdaptiveRun::begin(const IoJob& job) {
     if (!cfg.targets.empty()) return cfg.targets[file] % fs.n_osts();
     return file % fs.n_osts();
   };
-  if (obs::Recorder* rec = eng().recorder()) {
+  // Run ordinals come from the host's one recorder, which a shard group
+  // holds behind its per-shard buffers.
+  if (obs::Recorder* rec = shards ? shards->recorder() : eng().recorder()) {
     journal_run = rec->begin_run();
-    if (shards) {
-      // Every shard's journal counts the same runs, so run-scoped record ids
-      // agree across shards (and therefore across shard counts post-merge).
-      for (std::size_t s = 1; s < shards->n_shards(); ++s)
-        if (obs::Recorder* rs = shards->engine(s).recorder()) rs->begin_run();
-    }
     obs::Record r;
     r.kind = obs::Rec::kRunBegin;
     r.t = result.t_begin;
@@ -354,7 +350,7 @@ void AdaptiveRun::issue_write(Rank from, fs::StripedFile& file, double offset, d
     // completion back to the issuer's shard.  Both hops land on window
     // boundaries whatever the domain layout — the same-domain case is not
     // special-cased, which is what keeps the timing invariant under
-    // AIO_SIM_DOMAINS.
+    // the domain count.
     const std::uint32_t src_key = shards->key_of_rank(static_cast<std::size_t>(from));
     const std::uint32_t dst_dom = shards->domain_of_ost(file.target_of(offset));
     shards->post_at_boundary(

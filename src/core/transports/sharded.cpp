@@ -26,14 +26,10 @@ sim::ShardGroup::Config shard_config(const ShardedAdaptiveSim::Config& c) {
 
 ShardedAdaptiveSim::ShardedAdaptiveSim(Config config)
     : shards_(shard_config(config)),
-      records_(config.collect_journal ? shards_.n_shards() : 0),
       fs_(shards_, config.fs),
       net_(shards_, config.net, config.n_ranks),
       transport_(fs_, net_, config.adaptive) {
-  if (!records_.empty()) {
-    for (std::size_t s = 0; s < shards_.n_shards(); ++s)
-      shards_.engine(s).set_recorder(records_.recorder(s));
-  }
+  shards_.set_recorder(config.recorder);
   if (config.profiler) shards_.set_profiler(config.profiler);
 }
 
@@ -42,12 +38,13 @@ IoResult ShardedAdaptiveSim::run(const IoJob& job) {
   transport_.run(job, [&out](IoResult r) { out = std::move(r); });
   shards_.run();
   if (!out) throw std::runtime_error("ShardedAdaptiveSim: run did not complete");
-  // Leave the host-runtime profile in the journal: one kProfShard record per
-  // shard at the run's final simulated time, so the offline analyzer and the
-  // journal->trace converter see the runtime cost next to the run it paid
-  // for.  Only when a profiler is armed — default journals stay shard-count
-  // invariant.
-  if (obs::prof::ShardProfiler* prof = shards_.profiler(); prof && !records_.empty()) {
+  // Leave the host-runtime profile in the record stream: one kProfShard
+  // record per shard, stamped at the run's completion, so the offline
+  // analyzer and the journal->trace converter see the runtime cost next to
+  // the run it paid for.  Only when a profiler is armed — default journals
+  // stay shard-count invariant.
+  obs::Recorder* const rec = shards_.recorder();
+  if (obs::prof::ShardProfiler* prof = shards_.profiler(); prof && rec) {
     for (std::size_t s = 0; s < shards_.n_shards(); ++s) {
       const obs::prof::ShardProfiler::Slot& slot = prof->slot(s);
       obs::Record r;
@@ -61,14 +58,10 @@ IoResult ShardedAdaptiveSim::run(const IoJob& job) {
       r.u1 = static_cast<std::uint32_t>(slot.msgs_posted);
       r.u2 = static_cast<std::uint32_t>(slot.msgs_drained);
       r.a = static_cast<std::uint8_t>(shards_.n_shards());
-      records_.recorder(s)->emit(r);
+      rec->emit(r);
     }
   }
   return std::move(*out);
-}
-
-std::vector<obs::Record> ShardedAdaptiveSim::merged_records() const {
-  return records_.merged();
 }
 
 }  // namespace aio::core

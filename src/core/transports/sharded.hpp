@@ -1,24 +1,24 @@
 // Self-contained sharded adaptive run.
 //
 // Bundles the pieces a sharded simulation needs — the shard group, a file
-// system homed on it, a network routed through it, per-shard journals, and
-// an AdaptiveTransport — and drives the conservative window loop to
-// completion.  One instance is one run (the shard group's engines cannot be
-// rewound); benches and tests construct a fresh rig per sample.
+// system homed on it, a network routed through it, and an AdaptiveTransport
+// — and drives the conservative window loop to completion.  One instance is
+// one run (the shard group's engines cannot be rewound); benches and tests
+// construct a fresh rig per sample.  A host observes the run by handing its
+// one recorder in `Config::recorder`, as it would to a classic engine.
 //
 // Determinism contract (see DESIGN.md §10): for a fixed Config and job, the
-// simulated timestamps, the IoResult, and the canonically merged journal are
-// bit-identical at every shard count, because the domain grid, the window
-// grid, and the cross-shard merge order are all independent of n_shards.
+// simulated timestamps, the IoResult, and the record stream the recorder
+// receives are bit-identical at every shard count, because the domain grid,
+// the window grid, and the cross-shard merge orders are all independent of
+// n_shards.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
-#include "obs/observers.hpp"
 #include "obs/prof.hpp"
+#include "obs/recorder.hpp"
 #include "sim/shard.hpp"
 
 namespace aio::core {
@@ -35,13 +35,15 @@ class ShardedAdaptiveSim {
     /// network latency, the minimum cross-shard coupling delay.
     double window_batch = 64.0;
     std::size_t n_domains = 0;  ///< 0 = default plan (min(32, n_osts))
-    /// Attach one journal per shard engine, through a journal-only recorder.
-    bool collect_journal = false;
+    /// The host's recorder (obs::Observers::recorder()), fed once per
+    /// barrier round through ShardGroup::set_recorder.  Null (the default)
+    /// records nothing.
+    obs::Recorder* recorder = nullptr;
     /// Host-runtime profiler (obs/prof.hpp), bound to the shard group before
     /// the run.  Null (the default) records nothing.  Profiling never feeds
     /// back into simulated time, so results stay bit-identical armed or not;
-    /// with `collect_journal` the run additionally appends one kProfShard
-    /// record per shard at the run's final simulated time.
+    /// with a `recorder` the run additionally emits one kProfShard record
+    /// per shard, in shard order, stamped at the run's completion.
     obs::prof::ShardProfiler* profiler = nullptr;
   };
 
@@ -56,13 +58,8 @@ class ShardedAdaptiveSim {
   [[nodiscard]] net::Network& net() { return net_; }
   [[nodiscard]] std::size_t steps() const { return shards_.total_steps(); }
 
-  /// Canonically merged records of the per-shard journals (empty unless
-  /// `collect_journal` was set).
-  [[nodiscard]] std::vector<obs::Record> merged_records() const;
-
  private:
   sim::ShardGroup shards_;
-  obs::ShardRecords records_;  // one journal-only recorder per shard, or none
   fs::FileSystem fs_;
   net::Network net_;
   AdaptiveTransport transport_;

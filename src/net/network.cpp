@@ -79,7 +79,7 @@ void Network::send(Rank from, Rank to, double bytes, Deliver deliver) {
   // node-crossing delivery goes through the channel plane and lands on a
   // window boundary — even when both nodes share a domain.  Keying the rule
   // to nodes (not domains) is what makes the simulated timestamps invariant
-  // under AIO_SIM_DOMAINS.
+  // under the domain count.
   sim::ShardGroup& sg = *shards_;
   const bool same_node = node_of(from) == node_of(to);
   sim::Engine& src_eng = sg.engine_of_rank(static_cast<std::size_t>(from));

@@ -98,12 +98,8 @@ std::optional<Journal> Journal::load(const std::string& path) {
   return j;
 }
 
-std::vector<Record> merge_records(const std::vector<const Journal*>& parts) {
-  std::vector<Record> out;
-  std::size_t total = 0;
-  for (const Journal* p : parts)
-    if (p) total += p->records().size();
-  out.reserve(total);
+void merge_records(const std::vector<const Journal*>& parts, std::vector<Record>& out) {
+  out.clear();
   for (const Journal* p : parts) {
     if (!p) continue;
     const auto& r = p->records();
@@ -116,10 +112,9 @@ std::vector<Record> merge_records(const std::vector<const Journal*>& parts) {
     // same timestamp must not sort ahead of it.
     if (a.kind != b.kind) return a.kind < b.kind;
     // Bytewise tie-break: Record is a fully-initialized POD (explicit
-    // padding field), so memcmp is a total order on content.
+    // padding fields), so memcmp is a total order on content.
     return std::memcmp(&a, &b, sizeof(Record)) < 0;
   });
-  return out;
 }
 
 }  // namespace aio::obs

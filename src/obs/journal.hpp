@@ -90,8 +90,13 @@ struct Record {
   Rec kind{};
   std::uint8_t a = 0;
   std::uint16_t pad = 0;
+  // Spelled out so no byte is implicit padding: journals write records raw
+  // and merge_records breaks ties bytewise, so every byte must be set.
+  std::uint32_t pad_tail = 0;
 };
 static_assert(sizeof(Record) == 56, "journal record layout drifted");
+static_assert(offsetof(Record, pad_tail) + sizeof(Record::pad_tail) == sizeof(Record),
+              "journal record has implicit tail padding");
 
 class Journal {
  public:
@@ -122,6 +127,9 @@ class Journal {
   /// Pre-sizes the buffer so steady-state appends never touch the allocator.
   void reserve(std::size_t n) { records_.reserve(std::min(n, config_.max_records)); }
 
+  /// Drops every record, keeping the buffer's capacity.
+  void clear() { records_.clear(); }
+
   /// Starts a new run, returning its 1-based ordinal for run-scoped records.
   std::uint32_t begin_run() { return ++runs_; }
 
@@ -150,12 +158,13 @@ class Journal {
 /// path is numbered this way.
 [[nodiscard]] std::string numbered_path(const std::string& base, int slot);
 
-/// Canonical merge of per-shard journals (sharded runs keep one journal per
-/// shard engine): every part's records, ordered by timestamp, then record
-/// kind (so a run's kRunBegin precedes same-time prologue marks), then
-/// bytewise content.  The result depends only on the multiset
-/// of records, never on how they were distributed over shards — which is
-/// what makes merged digests comparable across shard counts.
-[[nodiscard]] std::vector<Record> merge_records(const std::vector<const Journal*>& parts);
+/// Canonical merge of per-shard record buffers (a sharded run's engines each
+/// record into their own, sim::ShardGroup): every part's records, ordered by
+/// timestamp, then record kind (so a run's kRunBegin precedes same-time
+/// prologue marks), then bytewise content, replace the contents of `out`,
+/// whose capacity is kept.  The result depends only on the multiset of
+/// records, never on how they were distributed over shards — which is what
+/// makes merged streams comparable across shard counts.
+void merge_records(const std::vector<const Journal*>& parts, std::vector<Record>& out);
 
 }  // namespace aio::obs

@@ -80,16 +80,4 @@ bool Observers::flush(bool aborted) {
   return true;
 }
 
-ShardRecords::ShardRecords(std::size_t n_shards) {
-  parts_.reserve(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) parts_.push_back(std::make_unique<Part>());
-}
-
-std::vector<Record> ShardRecords::merged() const {
-  std::vector<const Journal*> parts;
-  parts.reserve(parts_.size());
-  for (const auto& p : parts_) parts.push_back(&p->journal);
-  return merge_records(parts);
-}
-
 }  // namespace aio::obs

@@ -16,17 +16,14 @@
 //   * flush     — one latched write of every artifact.
 //
 // Hosts (bench::Machine, api::Simulation, the macro benches) hand
-// recorder() to their engine, make the single FileSystem::register_probes
-// call when they sample, and never wire a subscriber themselves.
-//
-// `ShardRecords` is what a sharded run hosts: one journal-only recorder per
-// shard engine, merged canonically after the run.
+// recorder() to their engine — or, for a sharded run, to its shard group
+// (sim::ShardGroup::set_recorder), attaching shard 0's engine — make the
+// single FileSystem::register_probes call when they sample, and never wire
+// a subscriber themselves.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "obs/journal.hpp"
 #include "obs/live.hpp"
@@ -98,25 +95,6 @@ class Observers {
   std::optional<Sampler> sampler_;
   sim::Engine* engine_ = nullptr;
   bool flushed_ = false;
-};
-
-class ShardRecords {
- public:
-  /// One journal-only recorder per shard; none when `n_shards` is 0.
-  explicit ShardRecords(std::size_t n_shards);
-
-  [[nodiscard]] bool empty() const { return parts_.empty(); }
-  [[nodiscard]] Recorder* recorder(std::size_t shard) { return &parts_[shard]->recorder; }
-
-  /// Canonical merge of every shard's records (merge_records).
-  [[nodiscard]] std::vector<Record> merged() const;
-
- private:
-  struct Part {
-    Journal journal{Journal::Config{}};
-    Recorder recorder{&journal};
-  };
-  std::vector<std::unique_ptr<Part>> parts_;
 };
 
 }  // namespace aio::obs

@@ -2,12 +2,13 @@
 //
 // The journal and live plane account for simulated seconds; this profiler
 // accounts for the host seconds spent producing them — the feedback signal
-// the AIO_SIM_DOMAINS / AIO_SIM_WINDOW_BATCH tuning loop needs.  Each shard
+// the AIO_SIM_WINDOW_BATCH tuning loop needs.  Each shard
 // owns one cache-line-padded `Slot` and accumulates, per barrier round:
 //
 //   * execute_s — inside Engine::run_before (event dispatch proper);
 //   * barrier_s — parked or spinning at the sense-reversing barrier
-//     (load imbalance and straggler shards surface here);
+//     (load imbalance and straggler shards surface here, and so does the
+//     record flush the last arriver runs for an observed group);
 //   * merge_s   — draining + canonically merging cross-shard channels and
 //     re-scheduling the merged messages;
 //   * skip_s    — window-loop bookkeeping: horizon publishing, the reduce,

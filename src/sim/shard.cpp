@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/prof.hpp"
+#include "obs/recorder.hpp"
 
 namespace aio::sim {
 
@@ -42,6 +43,11 @@ constexpr int kMaxPauseBatch = 64;
 constexpr int kMaxYields = 16;
 
 }  // namespace
+
+struct ShardGroup::RecordBuffer {
+  obs::Journal journal{obs::Journal::Config{{}, std::numeric_limits<std::size_t>::max()}};
+  obs::Recorder recorder{&journal};
+};
 
 Engine* current_engine() { return tls_engine; }
 std::size_t current_shard_index() { return tls_shard; }
@@ -156,12 +162,14 @@ void ShardGroup::post(std::uint32_t src_key, std::size_t dst_shard, Time t,
       Msg{t, src_key, seq_[src_key]++, std::move(fn)});
 }
 
-bool ShardGroup::barrier_wait() {
+bool ShardGroup::barrier_wait(double window_end) {
   std::atomic<std::uint32_t>& phase = barrier_phase_.v;
   const std::uint32_t entry = phase.load(std::memory_order_acquire);
   if (entry & 1u) return false;  // aborted before arrival
   if (barrier_count_.v.fetch_add(1, std::memory_order_acq_rel) + 1 == n_shards_) {
     barrier_count_.v.store(0, std::memory_order_relaxed);
+    // Serial section: every shard has arrived and none is emitting.
+    if (recorder_) flush_records(window_end);
     // Release the cohort: bump the generation, preserving the abort bit.
     phase.fetch_add(2, std::memory_order_acq_rel);
     phase.notify_all();
@@ -195,6 +203,15 @@ bool ShardGroup::barrier_wait() {
 void ShardGroup::abort_barrier() {
   barrier_phase_.v.fetch_or(1u, std::memory_order_acq_rel);
   barrier_phase_.v.notify_all();
+}
+
+void ShardGroup::flush_records(double window_end) {
+  obs::merge_records(buffer_journals_, round_records_);
+  if (!round_records_.empty() && round_records_.front().t < record_floor_)
+    throw std::logic_error("ShardGroup: record stamped before the previous window's end");
+  for (const obs::Record& r : round_records_) recorder_->emit(r);
+  for (auto& b : buffers_) b->journal.clear();
+  record_floor_ = window_end;
 }
 
 void ShardGroup::drain_and_merge(std::size_t shard, std::size_t parity, std::vector<Msg>& merged,
@@ -263,7 +280,7 @@ void ShardGroup::worker(std::size_t shard) {
       pb = profclock::now();
       prof->skip_s += secs(pt, pb);
     }
-    const bool alive = barrier_wait();
+    const bool alive = barrier_wait(prev_end);
     if (prof) {
       pt = profclock::now();
       prof->barrier_s += secs(pb, pt);
@@ -325,6 +342,22 @@ void ShardGroup::set_profiler(obs::prof::ShardProfiler* prof) {
   if (prof_) prof_->bind(n_shards_);
 }
 
+void ShardGroup::set_recorder(obs::Recorder* recorder) {
+  if (ran_) throw std::logic_error("ShardGroup: set_recorder must precede run()");
+  recorder_ = recorder;
+  buffers_.clear();
+  buffer_journals_.clear();
+  for (auto& eng : engines_) {
+    if (!recorder_) {
+      eng->set_recorder(nullptr);
+      continue;
+    }
+    buffers_.push_back(std::make_unique<RecordBuffer>());
+    eng->set_recorder(&buffers_.back()->recorder);
+    buffer_journals_.push_back(&buffers_.back()->journal);
+  }
+}
+
 void ShardGroup::run() {
   if (ran_) throw std::logic_error("ShardGroup: a group can only run once");
   ran_ = true;
@@ -347,8 +380,7 @@ void ShardGroup::run() {
     });
   }
   for (auto& t : threads) t.join();
-  // Re-bind the caller as the post-run context for shard 0 (result readers,
-  // journal merging).
+  // Re-bind the caller as the post-run context for shard 0 (result readers).
   tls_engine = engines_[0].get();
   tls_shard = 0;
   tls_parity = 0;

@@ -4,8 +4,8 @@
 // own `sim::Engine` (4-ary heap, SBO callbacks — unchanged) on its own
 // thread.  The partition is expressed through a fixed *domain grid* that is
 // independent of the shard count: the OST range and the rank range are cut
-// into D contiguous spans (D = min(32, n_osts) by default, tunable through
-// `n_domains` / AIO_SIM_DOMAINS; rank cuts are node-aligned so a node's NIC
+// into D contiguous spans (D = min(32, n_osts) by default, overridable
+// through `n_domains`; rank cuts are node-aligned so a node's NIC
 // never straddles domains), and each shard owns a contiguous run of domains
 // chosen by a deterministic static weight model (ranks + OSTs per domain) so
 // heavy domains do not pile onto one shard.
@@ -42,6 +42,12 @@
 // count), the event sequence each entity observes — and therefore every
 // simulated timestamp — is bit-identical at any shard count, including
 // S = 1 (which runs the same window loop inline, no threads).
+//
+// Observation follows the classic engine's rule: the host hands the group
+// its one recorder (set_recorder), which the barrier feeds once per round.
+// Records are stamped with the emitting engine's clock, so rounds partition
+// simulated time and the per-round canonical merge is the whole run's: the
+// host's journal, live plane and registry see the same stream at every S.
 #pragma once
 
 #include <atomic>
@@ -52,8 +58,12 @@
 #include <memory>
 #include <vector>
 
+#include "obs/journal.hpp"
 #include "sim/engine.hpp"
 
+namespace aio::obs {
+class Recorder;
+}
 namespace aio::obs::prof {
 class ShardProfiler;
 }
@@ -187,6 +197,17 @@ class ShardGroup {
   void set_profiler(obs::prof::ShardProfiler* prof);
   [[nodiscard]] obs::prof::ShardProfiler* profiler() const { return prof_; }
 
+  /// Hands the host's recorder to the group, as Engine::set_recorder does
+  /// for one engine: each shard engine records into a buffer of its own,
+  /// and in every barrier round the last shard to arrive — the others
+  /// parked, nothing emitting — merges the finished window's buffers
+  /// (obs::merge_records) and emits them through `recorder`.  A record
+  /// stamped before the previous window's end breaks the time partition
+  /// and throws std::logic_error.  Null (the default) costs one pointer
+  /// test per round.  Must be called before run().
+  void set_recorder(obs::Recorder* recorder);
+  [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
+
   /// Test hook: makes the next multi-message merge swap two entries so the
   /// canonical-order validator must reject it (proves misordered cross-shard
   /// merges cannot pass silently).
@@ -219,11 +240,18 @@ class ShardGroup {
     std::atomic<std::uint32_t> v{0};
   };
 
+  // One shard engine's recorder and the journal buffering its window.
+  struct RecordBuffer;
+
   void worker(std::size_t shard);
   void drain_and_merge(std::size_t shard, std::size_t parity, std::vector<Msg>& merged,
                        double prev_window_end);
-  bool barrier_wait();  // false = abort observed; leave the loop
+  // false = abort observed; leave the loop.  The last arriver feeds the
+  // host's recorder the window that ended at `window_end` before it
+  // releases the cohort.
+  bool barrier_wait(double window_end);
   void abort_barrier();
+  void flush_records(double window_end);
 
   Config cfg_;
   std::size_t n_shards_ = 1;
@@ -247,6 +275,13 @@ class ShardGroup {
   PaddedAtomicU32 barrier_phase_;              // generation << 1 | abort bit
   PaddedAtomicU32 barrier_count_;
   obs::prof::ShardProfiler* prof_ = nullptr;
+  // Record path (set_recorder): each shard fills its own buffer in its
+  // window; only the barrier's serial section reads and clears them.
+  obs::Recorder* recorder_ = nullptr;
+  std::vector<std::unique_ptr<RecordBuffer>> buffers_;  // one per shard
+  std::vector<const obs::Journal*> buffer_journals_;     // merge_records' view
+  std::vector<obs::Record> round_records_;
+  double record_floor_ = 0.0;  // end of the window before the one flushing
   std::atomic<bool> corrupt_{false};
   std::vector<std::exception_ptr> errors_;
   std::uint64_t windows_executed_ = 0;  // written by shard 0 only

@@ -227,7 +227,8 @@ TEST(MergeRecords, TiedTimestampsOrderByKindThenContent) {
   b.append(rec(t, obs::Rec::kProfShard, /*shard=*/0, /*n_shards=*/2));
   b.append(rec(t, obs::Rec::kWriterEnd, 3));
 
-  const std::vector<obs::Record> merged = obs::merge_records({&a, &b});
+  std::vector<obs::Record> merged;
+  obs::merge_records({&a, &b}, merged);
   ASSERT_EQ(merged.size(), 6u);
   // Strictly earlier timestamps first, whatever the kind.
   EXPECT_EQ(merged[0].kind, obs::Rec::kWriterStart);
@@ -260,8 +261,11 @@ TEST(MergeRecords, ResultDependsOnlyOnTheMultiset) {
   for (std::size_t i = 0; i < all.size(); ++i)
     (i % 2 ? two_a : two_b).append(all[all.size() - 1 - i]);  // reversed, split
 
-  const std::vector<obs::Record> base = obs::merge_records({&one});
-  const std::vector<obs::Record> split = obs::merge_records({&two_a, &two_b, &empty, nullptr});
+  std::vector<obs::Record> base;
+  obs::merge_records({&one}, base);
+  // The output is replaced, not appended to: stale contents never leak in.
+  std::vector<obs::Record> split(3, rec(9.0, obs::Rec::kMdsOp, 7));
+  obs::merge_records({&two_a, &two_b, &empty, nullptr}, split);
   ASSERT_EQ(base.size(), all.size());
   ASSERT_EQ(split.size(), all.size());
   EXPECT_EQ(std::memcmp(base.data(), split.data(), base.size() * sizeof(obs::Record)), 0);

@@ -18,6 +18,7 @@
 #include "env.hpp"
 #include "obs/journal.hpp"
 #include "obs/prof.hpp"
+#include "obs/recorder.hpp"
 
 namespace {
 
@@ -141,7 +142,6 @@ ShardedAdaptiveSim::Config rig_config(std::size_t n_shards) {
   c.net.nic_bw = 2e9;
   c.net.cores_per_node = 4;
   c.adaptive.n_files = 0;
-  c.collect_journal = true;
   return c;
 }
 
@@ -173,14 +173,21 @@ TEST(ShardProfilerRun, ArmedRunIsBitIdenticalModuloProfRecords) {
   const IoJob job = seeded_job(5);
   const std::size_t n_shards = 4;
 
-  ShardedAdaptiveSim off(rig_config(n_shards));
+  obs::Journal off_journal{obs::Journal::Config{}};
+  obs::Recorder off_recorder{&off_journal};
+  auto off_cfg = rig_config(n_shards);
+  off_cfg.recorder = &off_recorder;
+  ShardedAdaptiveSim off(std::move(off_cfg));
   const IoResult base = off.run(job);
   std::size_t base_prof = 0;
-  const std::uint64_t base_digest = digest_without_prof(off.merged_records(), &base_prof);
+  const std::uint64_t base_digest = digest_without_prof(off_journal.records(), &base_prof);
   EXPECT_EQ(base_prof, 0u) << "unarmed run emitted kProfShard records";
 
   obs::prof::ShardProfiler prof;
+  obs::Journal on_journal{obs::Journal::Config{}};
+  obs::Recorder on_recorder{&on_journal};
   auto cfg = rig_config(n_shards);
+  cfg.recorder = &on_recorder;
   cfg.profiler = &prof;
   ShardedAdaptiveSim on(std::move(cfg));
   const IoResult armed = on.run(job);
@@ -195,13 +202,13 @@ TEST(ShardProfilerRun, ArmedRunIsBitIdenticalModuloProfRecords) {
   EXPECT_EQ(base.grants_issued, armed.grants_issued);
 
   // ... and the journal differs only by the appended kProfShard records: one
-  // per shard, stamped at the run's final simulated time.
-  const std::vector<obs::Record> merged = on.merged_records();
+  // per shard, stamped at the run's completion.
+  const std::vector<obs::Record>& records = on_journal.records();
   std::size_t armed_prof = 0;
-  EXPECT_EQ(digest_without_prof(merged, &armed_prof), base_digest);
+  EXPECT_EQ(digest_without_prof(records, &armed_prof), base_digest);
   EXPECT_EQ(armed_prof, on.shards().n_shards());
   std::vector<bool> seen(on.shards().n_shards(), false);
-  for (const obs::Record& r : merged) {
+  for (const obs::Record& r : records) {
     if (r.kind != obs::Rec::kProfShard) continue;
     EXPECT_EQ(r.t, armed.t_complete);
     EXPECT_EQ(static_cast<std::size_t>(r.a), on.shards().n_shards());

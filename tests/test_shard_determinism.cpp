@@ -1,9 +1,12 @@
 // Sharded-engine determinism: the documented contract is that for a fixed
-// configuration and job, simulated timestamps, results, and the canonically
-// merged journal are bit-identical at every shard count.  This file sweeps
-// shard counts 1/2/4/8 over seeded jobs and compares FNV digests of the
-// merged records plus every IoResult field bit-for-bit, and proves the
-// negative: a deliberately misordered cross-shard merge is rejected.
+// configuration and job, simulated timestamps, results, and the record
+// stream the host's recorder receives are bit-identical at every shard
+// count.  This file sweeps shard counts 1/2/4/8 over seeded jobs and
+// compares FNV digests of the host journal plus every IoResult field
+// bit-for-bit, checks that the live plane and registry behind the same
+// recorder agree across shard counts, and proves the negatives: a
+// deliberately misordered cross-shard merge, and a record stamped outside
+// its window, are rejected.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +19,9 @@
 
 #include "core/transports/sharded.hpp"
 #include "obs/journal.hpp"
+#include "obs/live.hpp"
+#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/shard.hpp"
 
@@ -92,7 +98,6 @@ ShardedAdaptiveSim::Config rig_config(std::size_t n_shards) {
   c.net.nic_bw = 2e9;
   c.net.cores_per_node = 4;
   c.adaptive.n_files = 0;  // one file (group) per OST
-  c.collect_journal = true;
   return c;
 }
 
@@ -113,15 +118,23 @@ struct RunOutcome {
   std::uint64_t windows_skipped = 0;
 };
 
-RunOutcome run_job(ShardedAdaptiveSim::Config cfg, const IoJob& job) {
+std::uint64_t digest(const std::vector<aio::obs::Record>& records) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const auto& r : records) h = fnv1a(&r, sizeof(r), h);
+  return h;
+}
+
+// Runs `job` with a host journal behind the group's recorder (none when
+// `journaled` is false).
+RunOutcome run_job(ShardedAdaptiveSim::Config cfg, const IoJob& job, bool journaled = true) {
+  aio::obs::Journal journal{aio::obs::Journal::Config{}};
+  aio::obs::Recorder recorder{&journal};
+  if (journaled) cfg.recorder = &recorder;
   ShardedAdaptiveSim sim(std::move(cfg));
   RunOutcome out;
   out.result = sim.run(job);
-  const auto records = sim.merged_records();
-  out.n_records = records.size();
-  std::uint64_t h = 14695981039346656037ull;
-  for (const auto& r : records) h = fnv1a(&r, sizeof(r), h);
-  out.journal_digest = h;
+  out.n_records = journal.records().size();
+  out.journal_digest = digest(journal.records());
   out.windows_executed = sim.shards().windows_executed();
   out.windows_skipped = sim.shards().windows_skipped();
   return out;
@@ -222,7 +235,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardSparseDeterminism, ::testing::Values(11u, 2
 // boundary (node / storage atom), not by domain membership, so re-cutting
 // the domain grid — which changes shard ownership, channel routing, and
 // message batching — must not move a single timestamp.  This is the
-// property that lets AIO_SIM_DOMAINS be a pure load-balancing knob.
+// property that makes the domain grid a pure load-balancing choice.
 TEST(ShardDomainInvariance, DigestsInvariantUnderDomainGrid) {
   const IoJob job = seeded_job(5);
   auto cfg = rig_config(4);
@@ -279,6 +292,34 @@ TEST(ShardDeterminismNegative, MisorderedMergeIsRejected) {
   ASSERT_EQ(sim.shards().n_shards(), 2u);
   sim.shards().corrupt_next_merge_for_test();
   EXPECT_THROW(sim.run(seeded_job(1)), std::logic_error);
+}
+
+TEST(ShardDeterminismNegative, RecordBeforeThePreviousWindowIsRejected) {
+  // Barrier rounds partition simulated time only while every record is
+  // stamped inside the window that emitted it.  One stamped before the
+  // previous window's end would be merged out of canonical order, so the
+  // group rejects it instead.
+  for (const std::size_t s : {std::size_t{1}, std::size_t{2}}) {
+    aio::obs::Journal journal{aio::obs::Journal::Config{}};
+    aio::obs::Recorder recorder{&journal};
+    auto cfg = rig_config(s);
+    cfg.recorder = &recorder;
+    ShardedAdaptiveSim sim(std::move(cfg));
+    aio::sim::Engine& eng = sim.shards().engine(s - 1);
+    eng.schedule_at(4.0 * sim.shards().window_s(), [&eng] {
+      aio::obs::Record r;
+      r.kind = aio::obs::Rec::kMdsOp;
+      r.t = 0.0;  // the first window's time, emitted in the fifth
+      eng.recorder()->emit(r);
+    });
+    try {
+      (void)sim.run(seeded_job(1));
+      ADD_FAILURE() << "shards=" << s << ": misstamped record was merged";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("stamped before"), std::string::npos)
+          << "shards=" << s << ": " << e.what();
+    }
+  }
 }
 
 TEST(ShardPlan, DomainGridIsShardCountInvariant) {
@@ -364,30 +405,95 @@ TEST(ShardedRun, WindowBatchAtTheCeilingRunsToCompletion) {
   expect_identical(base, run_job(at_ceiling(2), job), "shards=2 at the window ceiling");
 }
 
+// One host's observers over a sharded run, wired the way obs::Observers
+// does it: a journal, a live plane and a registry behind the one recorder
+// the shard group feeds, plus the live snapshot rows a daemon on shard 0's
+// engine takes.
+constexpr double kSnapshotPeriodS = 2e-3;
+
+struct ObservedRun {
+  aio::obs::Journal journal{aio::obs::Journal::Config{}};
+  aio::obs::LivePlane live{aio::obs::LivePlane::Config{}};
+  aio::obs::Registry metrics;
+  aio::obs::Recorder recorder{&journal, &live, &metrics};
+  std::vector<std::string> rows;
+  IoResult result;
+
+  ObservedRun(std::size_t n_shards, const IoJob& job) {
+    auto cfg = rig_config(n_shards);
+    cfg.recorder = &recorder;
+    ShardedAdaptiveSim sim(std::move(cfg));
+    snapshot_every(sim.shards().engine(0));
+    result = sim.run(job);
+    live.flush();
+  }
+
+  void snapshot_every(aio::sim::Engine& eng) {
+    eng.schedule_daemon_after(kSnapshotPeriodS, [this, &eng] {
+      rows.push_back(live.snapshot_json(eng.now()).dump());
+      snapshot_every(eng);
+    });
+  }
+};
+
+TEST(ShardedRun, OneHostRecorderIsShardCountInvariant) {
+  // The journal, the live plane (its snapshot rows, final attribution and
+  // view) and the record-derived registry counters are identical at every
+  // shard count: the group feeds them one stream, in canonical order.
+  const IoJob job = seeded_job(5);
+  const ObservedRun base(1, job);
+  ASSERT_GT(base.journal.records().size(), 0u);
+  ASSERT_GT(base.rows.size(), 1u);
+  EXPECT_EQ(base.metrics.counters().at("protocol.runs").value(), 1u);
+  EXPECT_GT(base.metrics.counters().at("protocol.steals").value(), 0u);
+  const aio::obs::WaitSplit cum = base.live.cumulative();
+  EXPECT_GT(cum.total_s, 0.0);
+  for (const std::size_t s : {std::size_t{2}, std::size_t{4}}) {
+    const ObservedRun other(s, job);
+    const std::string what = (testing::Message() << "shards=" << s).GetString();
+    expect_identical_results(base.result, other.result, what.c_str());
+    EXPECT_EQ(digest(other.journal.records()), digest(base.journal.records())) << what;
+    EXPECT_EQ(other.journal.runs(), base.journal.runs()) << what;
+    EXPECT_EQ(other.rows, base.rows) << what;
+    const aio::obs::WaitSplit oc = other.live.cumulative();
+    EXPECT_EQ(oc.total_s, cum.total_s) << what;
+    EXPECT_EQ(oc.internal_s, cum.internal_s) << what;
+    EXPECT_EQ(oc.external_s, cum.external_s) << what;
+    EXPECT_EQ(oc.mds_s, cum.mds_s) << what;
+    EXPECT_EQ(oc.network_s, cum.network_s) << what;
+    EXPECT_EQ(other.live.snapshot_json(1.0, /*final=*/true).dump(),
+              base.live.snapshot_json(1.0, /*final=*/true).dump())
+        << what;
+    EXPECT_EQ(other.metrics.to_json().dump(), base.metrics.to_json().dump()) << what;
+  }
+}
+
 TEST(ShardedRun, JournalDoesNotPerturbTheRun) {
-  // Attaching the per-shard journals is pure observation: every simulated
-  // timestamp matches a run without them, bit for bit.
+  // Feeding the host's journal, live plane and registry is pure
+  // observation: every simulated timestamp matches a run without them, bit
+  // for bit.
   for (const std::size_t s : {std::size_t{1}, std::size_t{4}}) {
-    auto bare = rig_config(s);
-    bare.collect_journal = false;
-    const RunOutcome plain = run_job(bare, seeded_job(5));
-    const RunOutcome journaled = run_job(rig_config(s), seeded_job(5));
+    const RunOutcome plain = run_job(rig_config(s), seeded_job(5), /*journaled=*/false);
+    const ObservedRun observed(s, seeded_job(5));
     EXPECT_EQ(plain.n_records, 0u);
-    EXPECT_GT(journaled.n_records, 0u);
-    expect_identical_results(plain.result, journaled.result,
+    EXPECT_GT(observed.journal.records().size(), 0u);
+    EXPECT_GT(observed.live.runs_completed(), 0u);
+    expect_identical_results(plain.result, observed.result,
                              (testing::Message() << "shards=" << s).GetString().c_str());
   }
 }
 
 TEST(ShardedRun, RenderedTraceIsShardCountInvariant) {
-  // The Chrome trace renders from the canonically merged journal, so a
-  // sharded run is traceable and its trace is byte-identical at any S.
+  // The Chrome trace renders from the host journal, so a sharded run is
+  // traceable and its trace is byte-identical at any S.
   const auto rendered = [](std::size_t n_shards) {
-    ShardedAdaptiveSim sim(rig_config(n_shards));
+    aio::obs::Journal journal{aio::obs::Journal::Config{}};
+    aio::obs::Recorder recorder{&journal};
+    auto cfg = rig_config(n_shards);
+    cfg.recorder = &recorder;
+    ShardedAdaptiveSim sim(std::move(cfg));
     (void)sim.run(seeded_job(3));
-    aio::obs::Journal merged{aio::obs::Journal::Config{}};
-    for (const aio::obs::Record& r : sim.merged_records()) merged.append(r);
-    return aio::obs::journal_trace(merged).dump();
+    return aio::obs::journal_trace(journal).dump();
   };
   const std::string base = rendered(1);
   EXPECT_NE(base.find("\"name\":\"write\""), std::string::npos);
