@@ -205,7 +205,7 @@ int main() {
   std::unique_ptr<obs::prof::ShardProfiler> prof;
   if (prof_env.enabled)
     prof = std::make_unique<obs::prof::ShardProfiler>(
-        obs::prof::ShardProfiler::Config{std::string(), prof_env.period_s});
+        obs::prof::ShardProfiler::Config{prof_env.period_s});
   obs::Json prof_docs = obs::Json::array();
 
   stats::Table table(

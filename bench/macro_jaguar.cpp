@@ -53,17 +53,6 @@ namespace {
 
 using namespace aio;
 
-// Streamed merge keeps the coordinator from retaining every sub-index; the
-// detection shim keeps this file compilable against trees whose adaptive
-// config predates the knob (the pre/post A-B harness builds this same bench
-// at both ends of the change).
-template <typename C>
-auto enable_streamed_merge(C& cfg, int) -> decltype(void(cfg.retain_global_index)) {
-  cfg.retain_global_index = false;
-}
-template <typename C>
-void enable_streamed_merge(C&, long) {}
-
 /// Resident set size right now, in bytes (0 where /proc is unavailable).
 /// Unlike the getrusage high-water mark this can go down, so per-scale
 /// deltas around a rig build+run measure that scale's own footprint.
@@ -87,8 +76,10 @@ struct RunCost {
   double sim_s = 0.0;         ///< simulated seconds the run produced
   double events_per_s = 0.0;  ///< engine steps per host second
   std::uint64_t rss_delta = 0;  ///< resident growth across the whole sample
-  // Sharded rows only: the window multiplier the sample ran at and the
-  // shard group's window-loop telemetry (see sim::ShardGroup).
+  // Sharded rows only: the shard count that ran (the request clamped by the
+  // shard group; 0 = classic engine), the window multiplier the sample ran
+  // at and the group's window-loop telemetry (see sim::ShardGroup).
+  std::size_t shards = 0;
   double window_batch = 0.0;
   std::uint64_t windows_executed = 0;
   std::uint64_t windows_skipped = 0;
@@ -121,7 +112,7 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
     network.emplace(engine,
                     net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node}, procs);
     core::AdaptiveTransport::Config cfg;  // n_files = 0: one file per OST (672 groups)
-    enable_streamed_merge(cfg, 0);
+    cfg.retain_global_index = false;      // streamed merge
     transport = std::make_unique<core::AdaptiveTransport>(filesystem, *network, cfg);
   } else {
     core::MpiioTransport::Config cfg;
@@ -173,7 +164,7 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   cfg.n_ranks = procs;
   cfg.fs = spec.fs;
   cfg.net = net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node};
-  enable_streamed_merge(cfg.adaptive, 0);  // n_files = 0: one file per OST
+  cfg.adaptive.retain_global_index = false;  // streamed merge, one file per OST
   cfg.recorder = observers.recorder();
   cfg.window_batch = window_batch;
   cfg.profiler = prof;  // re-bound (and zeroed) per sample by set_profiler
@@ -186,6 +177,7 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   cost.sim_s = result.io_seconds();
   cost.events_per_s =
       cost.wall_s > 0.0 ? static_cast<double>(sim.steps()) / cost.wall_s : 0.0;
+  cost.shards = sim.shards().n_shards();
   cost.window_batch = window_batch;
   cost.windows_executed = sim.shards().windows_executed();
   cost.windows_skipped = sim.shards().windows_skipped();
@@ -238,7 +230,7 @@ int main() {
   std::unique_ptr<obs::prof::ShardProfiler> prof;
   if (prof_env.enabled && !shard_sweep.empty())
     prof = std::make_unique<obs::prof::ShardProfiler>(
-        obs::prof::ShardProfiler::Config{std::string(), prof_env.period_s});
+        obs::prof::ShardProfiler::Config{prof_env.period_s});
   if (prof_env.enabled && shard_sweep.empty())
     std::fprintf(stderr,
                  "macro_jaguar: AIO_PROF needs a sharded sweep (set AIO_SIM_SHARDS)\n");
@@ -250,10 +242,10 @@ int main() {
   stats::Table table(std::move(headers));
 
   // One finished (transport, scale[, shards]) sweep point -> one table row
-  // plus one JSON row.  `shards` == 0 means "classic engine" and keeps the
-  // row layout (and the whole stdout) identical to a sweep-less run.
-  const auto emit = [&](std::size_t procs, const char* transport, std::size_t shards,
-                        const stats::Summary& wall, const RunCost& last) {
+  // plus one JSON row.  A classic row (`last.shards` == 0) keeps the row
+  // layout (and the whole stdout) identical to a sweep-less run.
+  const auto emit = [&](std::size_t procs, const char* transport, const stats::Summary& wall,
+                        const RunCost& last) {
     const double bytes_per_writer =
         static_cast<double>(last.rss_delta) / static_cast<double>(procs);
     std::vector<std::string> cells{std::to_string(procs), transport,
@@ -263,7 +255,8 @@ int main() {
                                    bench::mb(static_cast<double>(last.rss_delta)),
                                    stats::Table::num(bytes_per_writer, 0)};
     if (!shard_sweep.empty())
-      cells.insert(cells.begin() + 2, shards == 0 ? std::string("-") : std::to_string(shards));
+      cells.insert(cells.begin() + 2,
+                   last.shards == 0 ? std::string("-") : std::to_string(last.shards));
     table.add_row(std::move(cells));
     auto& row = report.row();
     row.tag("transport", transport)
@@ -274,8 +267,8 @@ int main() {
         .value("bytes_per_writer", bytes_per_writer)
         .value("peak_rss_bytes", static_cast<double>(bench::peak_rss_bytes()))
         .stat("wall_s", wall);
-    if (shards != 0) {
-      row.value("shards", static_cast<double>(shards))
+    if (last.shards != 0) {
+      row.value("shards", static_cast<double>(last.shards))
           .value("window_batch", last.window_batch)
           .value("windows_executed", static_cast<double>(last.windows_executed))
           .value("windows_skipped", static_cast<double>(last.windows_skipped))
@@ -311,16 +304,16 @@ int main() {
                                    prof.get());
             wall.add(last.wall_s);
           }
-          emit(procs, "adaptive", n_shards, wall, last);
+          emit(procs, "adaptive", wall, last);
           if (prof) {
             // One summary + document per sweep point (the last sample's
             // numbers — each sample re-binds the profiler).
             const std::string label =
-                std::to_string(procs) + "w x " + std::to_string(n_shards) + "sh";
+                std::to_string(procs) + "w x " + std::to_string(last.shards) + "sh";
             prof->print_summary(label.c_str());
             obs::Json doc = prof->to_json();
             doc.set("procs", static_cast<double>(procs));
-            doc.set("shards", static_cast<double>(n_shards));
+            doc.set("shards", static_cast<double>(last.shards));
             prof_docs.push(std::move(doc));
           }
         }
@@ -332,7 +325,7 @@ int main() {
         last = run_one(spec, model, procs, adaptive, observers);
         wall.add(last.wall_s);
       }
-      emit(procs, adaptive ? "adaptive" : "mpiio", 0, wall, last);
+      emit(procs, adaptive ? "adaptive" : "mpiio", wall, last);
     }
   }
 

@@ -31,7 +31,7 @@ using namespace aio;
 
 constexpr std::size_t kRanksPerNode = 8;
 constexpr std::size_t kRanks = 64;
-constexpr std::size_t kOsts = 8;  // 8 domains: supports 1..8 shards
+constexpr std::size_t kOsts = 8;  // supports 1..8 shards
 
 sim::ShardGroup::Config group_config(std::size_t n_shards) {
   sim::ShardGroup::Config c;
@@ -45,7 +45,7 @@ sim::ShardGroup::Config group_config(std::size_t n_shards) {
 // First rank homed on `shard`, for a valid post() source key.
 std::size_t rank_on_shard(const sim::ShardGroup& sg, std::size_t shard) {
   for (std::size_t r = 0; r < sg.n_ranks(); r += kRanksPerNode)
-    if (sg.shard_of_domain(sg.domain_of_rank(r)) == shard) return r;
+    if (sg.shard_of_rank(r) == shard) return r;
   return 0;
 }
 

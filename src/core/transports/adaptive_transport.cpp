@@ -52,10 +52,10 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   bool observing_ = false;        ///< engines carry a recorder
 
   /// Non-null for runs homed on a sharded file system: protocol events
-  /// execute on the shard owning the acting rank's domain, and every
-  /// coupling that crosses a node or storage boundary (writes to OSTs, role
-  /// completions to the coordinator's node) travels through the shard
-  /// group's channel plane regardless of the domain layout.
+  /// execute on the shard owning the acting rank, and every coupling that
+  /// crosses a node or storage boundary (writes to OSTs, role completions
+  /// to the coordinator's node) travels through the shard group's channel
+  /// plane wherever the two sides live.
   sim::ShardGroup* shards = nullptr;
 
   AdaptiveRun(fs::FileSystem& f, net::Network& n, AdaptiveTransport::Config c, Topology t)
@@ -348,20 +348,18 @@ void AdaptiveRun::issue_write(Rank from, fs::StripedFile& file, double offset, d
     // A rank→OST write always crosses the compute/storage boundary, so it
     // always quantizes: hop to the OST's home shard to issue, and hop the
     // completion back to the issuer's shard.  Both hops land on window
-    // boundaries whatever the domain layout — the same-domain case is not
-    // special-cased, which is what keeps the timing invariant under
-    // the domain count.
+    // boundaries whatever the placement — the same-shard case is not
+    // special-cased, which is what keeps the timing invariant under the
+    // shard count.
     const std::uint32_t src_key = shards->key_of_rank(static_cast<std::size_t>(from));
-    const std::uint32_t dst_dom = shards->domain_of_ost(file.target_of(offset));
     shards->post_at_boundary(
-        src_key, shards->shard_of_domain(dst_dom),
+        src_key, shards->shard_of_ost(file.target_of(offset)),
         [self, f = &file, offset, bytes, mode, from, file_id, done] {
           const std::uint32_t ost_key = self->shards->key_of_ost(f->target_of(offset));
           f->write(offset, bytes, mode,
                    [self, from, file_id, done, ost_key](sim::Time) {
                      sim::ShardGroup& sg = *self->shards;
-                     const std::size_t home = sg.shard_of_domain(
-                         sg.domain_of_rank(static_cast<std::size_t>(from)));
+                     const std::size_t home = sg.shard_of_rank(static_cast<std::size_t>(from));
                      sg.post_at_boundary(ost_key, home, [self, from, file_id, done] {
                        ((*self).*done)(from, file_id, self->eng().now());
                      });
@@ -430,7 +428,7 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
       // The role tally lives with the coordinator; ranks on other nodes hand
       // their completion over the channel plane so it is counted on its home
       // shard in canonical order.  The predicate is the coordinator's *node*
-      // — same node means same engine at any domain count, and the tally is
+      // — same node means same engine at any shard count, and the tally is
       // commutative, so mixing direct and quantized decrements is safe.
       const std::uint32_t src_key = shards->key_of_rank(static_cast<std::size_t>(from));
       const std::uint32_t coord_key = shards->key_of_rank(
@@ -438,10 +436,9 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
       if (src_key == coord_key) {
         role_done();
       } else {
-        const std::uint32_t coord_dom = shards->domain_of_rank(
-            static_cast<std::size_t>(Topology::coordinator_rank()));
-        shards->post_at_boundary(src_key, shards->shard_of_domain(coord_dom),
-                                 [self] { self->role_done(); });
+        shards->post_at_boundary(
+            src_key, shards->shard_of_rank(static_cast<std::size_t>(Topology::coordinator_rank())),
+            [self] { self->role_done(); });
       }
     }
   }

@@ -9,9 +9,9 @@
 //
 // Determinism contract (see DESIGN.md §10): for a fixed Config and job, the
 // simulated timestamps, the IoResult, and the record stream the recorder
-// receives are bit-identical at every shard count, because the domain grid,
-// the window grid, and the cross-shard merge orders are all independent of
-// n_shards.
+// receives are bit-identical at every shard count, because the window grid,
+// the physical coupling rule, and the cross-shard merge orders are all
+// independent of n_shards.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +26,7 @@ namespace aio::core {
 class ShardedAdaptiveSim {
  public:
   struct Config {
-    std::size_t n_shards = 1;   ///< requested; clamped to the domain count
+    std::size_t n_shards = 1;   ///< requested; clamped to [1, min(32, n_osts)]
     std::size_t n_ranks = 0;    ///< protocol ranks (>= the job's writers)
     fs::FsConfig fs;
     net::NetConfig net;
@@ -34,7 +34,6 @@ class ShardedAdaptiveSim {
     /// Window = lookahead * batch (see ShardGroup); the lookahead is the
     /// network latency, the minimum cross-shard coupling delay.
     double window_batch = 64.0;
-    std::size_t n_domains = 0;  ///< 0 = default plan (min(32, n_osts))
     /// The host's recorder (obs::Observers::recorder()), fed once per
     /// barrier round through ShardGroup::set_recorder.  Null (the default)
     /// records nothing.

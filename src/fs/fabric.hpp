@@ -35,14 +35,10 @@ class FabricGovernor {
 
   /// Registers an OST without installing a hook.  Sharded runs keep one
   /// governor replica per shard: every replica is fed the globally merged
-  /// activity stream through `notify_activity`, so all replicas run the same
-  /// hysteresis state machine and each applies factors only to its own
-  /// shard's OSTs.
+  /// activity stream through `notify_activity_batched`, so all replicas run
+  /// the same hysteresis state machine and each applies factors only to its
+  /// own shard's OSTs.
   void adopt(Ost& ost) { osts_.push_back(&ost); }
-
-  /// Feeds one activity transition (from any OST, any shard) into this
-  /// governor's state machine.
-  void notify_activity(bool became_active) { on_activity(became_active); }
 
   /// Batched replica feed for sharded runs: applies the count change
   /// immediately but defers the factor recompute to a single event at the
@@ -50,7 +46,7 @@ class FabricGovernor {
   /// window boundary therefore produce exactly one hysteresis decision from
   /// the *final* active count — the outcome is independent of the order the
   /// batch drains in, which is what keeps the factor sequence invariant
-  /// under the domain and shard counts.
+  /// under the shard count.
   void notify_activity_batched(bool became_active, sim::Engine& engine);
 
   [[nodiscard]] std::size_t active_count() const { return active_; }

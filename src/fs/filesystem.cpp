@@ -130,48 +130,47 @@ void StripedFile::flush(OnComplete on_complete) {
 }
 
 FileSystem::FileSystem(sim::Engine& engine, FsConfig config)
-    : engine_(engine),
-      config_(config),
-      mds_(engine, MdsGroup::Config{config.n_mds, config.mds}),
-      fabric_(config.fabric_bw) {
-  if (config_.n_osts == 0) throw std::invalid_argument("FileSystem: need at least one OST");
-  osts_.reserve(config_.n_osts);
-  for (std::size_t i = 0; i < config_.n_osts; ++i) {
-    osts_.push_back(std::make_unique<Ost>(engine_, config_.ost, static_cast<int>(i)));
-    fabric_.attach(*osts_.back());
-  }
-}
+    : FileSystem(engine, nullptr, config) {}
 
 FileSystem::FileSystem(sim::ShardGroup& shards, FsConfig config)
-    : engine_(shards.engine(0)),
+    : FileSystem(shards.engine(0), &shards, config) {}
+
+FileSystem::FileSystem(sim::Engine& engine, sim::ShardGroup* shards, FsConfig config)
+    : engine_(engine),
       config_(config),
-      shards_(&shards),
-      mds_(shards, MdsGroup::Config{config.n_mds, config.mds}),
-      fabric_(config.fabric_bw) {
+      shards_(shards),
+      mds_(shards ? MdsGroup(*shards, MdsGroup::Config{config.n_mds, config.mds})
+                  : MdsGroup(engine, MdsGroup::Config{config.n_mds, config.mds})) {
   if (config_.n_osts == 0) throw std::invalid_argument("FileSystem: need at least one OST");
-  if (config_.n_osts != shards.n_osts())
+  if (shards && config_.n_osts != shards->n_osts())
     throw std::invalid_argument("FileSystem: OST count does not match the shard group");
-  const std::size_t n_shards = shards.n_shards();
-  fabric_replicas_.reserve(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) fabric_replicas_.emplace_back(config_.fabric_bw);
+  // One governor per shard (one in all for a classic run), reserved before
+  // any hook captures an element.
+  const std::size_t n_shards = shards ? shards->n_shards() : 1;
+  fabric_.reserve(n_shards);
+  for (std::size_t s = 0; s < n_shards; ++s) fabric_.emplace_back(config_.fabric_bw);
   osts_.reserve(config_.n_osts);
   for (std::size_t i = 0; i < config_.n_osts; ++i) {
-    const std::uint32_t dom = shards.domain_of_ost(i);
-    const std::size_t home = shards.shard_of_domain(dom);
-    osts_.push_back(std::make_unique<Ost>(shards.engine(home), config_.ost, static_cast<int>(i)));
-    fabric_replicas_[home].adopt(*osts_.back());
+    const std::size_t home = shards ? shards->shard_of_ost(i) : 0;
+    osts_.push_back(std::make_unique<Ost>(shards ? shards->engine(home) : engine_, config_.ost,
+                                          static_cast<int>(i)));
+    Ost& ost = *osts_.back();
+    if (!shards) {
+      fabric_[0].attach(ost);
+      continue;
+    }
+    fabric_[home].adopt(ost);
     if (config_.fabric_bw > 0.0) {
       // Broadcast every activity transition to all replicas; each counts it
       // at the next window boundary and defers the factor recompute to one
       // event after the whole boundary batch, so the replicas' hysteresis
-      // state machines make identical decisions at any shard *or domain*
-      // count (the batched apply is order-free within the boundary instant).
-      Ost* ost = osts_.back().get();
-      const std::uint32_t key = shards.key_of_ost(i);
-      ost->set_activity_hook([sg = &shards, reps = &fabric_replicas_, key, n_shards](bool active) {
-        for (std::size_t d = 0; d < n_shards; ++d) {
-          sg->post_at_boundary(key, d, [reps, d, active] {
-            (*reps)[d].notify_activity_batched(active, *sim::current_engine());
+      // state machines make identical decisions at any shard count (the
+      // batched apply is order-free within the boundary instant).
+      const std::uint32_t key = shards->key_of_ost(i);
+      ost.set_activity_hook([sg = shards, reps = &fabric_, key, n_shards](bool active) {
+        for (std::size_t s = 0; s < n_shards; ++s) {
+          sg->post_at_boundary(key, s, [reps, s, active] {
+            (*reps)[s].notify_activity_batched(active, *sim::current_engine());
           });
         }
       });
@@ -265,7 +264,7 @@ void FileSystem::register_probes(obs::Sampler& sampler, std::size_t per_ost_limi
     return bw;
   });
   sampler.add_probe("fs.fabric_active",
-                    [this](double) { return static_cast<double>(fabric_.active_count()); });
+                    [this](double) { return static_cast<double>(fabric_[0].active_count()); });
   sampler.add_probe("mds.backlog",
                     [this](double) { return static_cast<double>(mds_.backlog()); });
   if (mds_.count() > 1) {

@@ -104,14 +104,14 @@ class FileSystem {
 
   FileSystem(sim::Engine& engine, FsConfig config);
 
-  /// Sharded construction: OST `i` is homed on the engine of the shard that
-  /// owns its domain, metadata server `i` is homed by the shard group's MDS
-  /// span rule (callers on other shards reach it through the channel plane
-  /// via close_from / MdsGroup::submit_from), and the fabric governor is
-  /// replicated per shard — every replica consumes the same globally merged
-  /// activity stream at window boundaries, so all replicas agree bit-exactly
-  /// and each touches only shard-local OSTs.  The shard group must have been
-  /// built with a matching `n_mds`.
+  /// Sharded construction: OST `i` is homed on the engine of shard
+  /// `shards.shard_of_ost(i)`, metadata server `i` on shard
+  /// `shards.shard_of_mds(i)` (callers on other shards reach it through the
+  /// channel plane via close_from / MdsGroup::submit_from), and the fabric
+  /// governor is replicated per shard — every replica consumes the same
+  /// globally merged activity stream at window boundaries, so all replicas
+  /// agree bit-exactly and each touches only shard-local OSTs.  The shard
+  /// group must have been built with a matching `n_mds`.
   FileSystem(sim::ShardGroup& shards, FsConfig config);
 
   /// Shard group this file system is homed on; null for classic runs.
@@ -125,7 +125,6 @@ class FileSystem {
   /// single-MDS model and every pre-tier caller's expectation).
   [[nodiscard]] MetadataServer& mds() { return mds_.server(0); }
   [[nodiscard]] MdsGroup& mds_group() { return mds_; }
-  [[nodiscard]] FabricGovernor& fabric() { return fabric_; }
   [[nodiscard]] std::vector<Ost*> ost_pointers();
 
   /// Opens (creates) a file through the metadata server.  `stripe_count` is
@@ -159,6 +158,10 @@ class FileSystem {
   void register_probes(obs::Sampler& sampler, std::size_t per_ost_limit = 32);
 
  private:
+  // Shared body of the public constructors: every OST and server lives on
+  // `engine`, or on its home shard's engine when `shards` is set.
+  FileSystem(sim::Engine& engine, sim::ShardGroup* shards, FsConfig config);
+
   StripedFile& make_file(std::string path, std::size_t stripe_count, std::size_t first_ost,
                          double stripe_size);
 
@@ -167,8 +170,9 @@ class FileSystem {
   sim::ShardGroup* shards_ = nullptr;
   std::vector<std::unique_ptr<Ost>> osts_;
   MdsGroup mds_;
-  FabricGovernor fabric_;
-  std::vector<FabricGovernor> fabric_replicas_;  // one per shard (sharded runs)
+  // Classic: one governor attached to every OST.  Sharded: one replica per
+  // shard, each adopting that shard's OSTs and fed every OST's transitions.
+  std::vector<FabricGovernor> fabric_;
   std::vector<std::unique_ptr<StripedFile>> files_;
 };
 

@@ -5,22 +5,22 @@
 
 namespace aio::fs {
 
-MdsGroup::MdsGroup(sim::Engine& engine, Config config) {
-  const std::size_t n = config.count != 0 ? config.count : 1;
-  servers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    servers_.push_back(std::make_unique<MetadataServer>(engine, config.server,
-                                                        static_cast<std::uint32_t>(i)));
-}
+MdsGroup::MdsGroup(sim::Engine& engine, Config config) : MdsGroup(engine, nullptr, config) {}
 
-MdsGroup::MdsGroup(sim::ShardGroup& shards, Config config) : shards_(&shards) {
+MdsGroup::MdsGroup(sim::ShardGroup& shards, Config config)
+    : MdsGroup(shards.engine(0), &shards, config) {}
+
+MdsGroup::MdsGroup(sim::Engine& engine, sim::ShardGroup* shards, Config config)
+    : shards_(shards) {
   const std::size_t n = config.count != 0 ? config.count : 1;
-  if (n != shards.n_mds())
+  if (shards && n != shards->n_mds())
     throw std::invalid_argument("MdsGroup: MDS count does not match the shard group");
   servers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    servers_.push_back(std::make_unique<MetadataServer>(shards.engine_of_mds(i), config.server,
-                                                        static_cast<std::uint32_t>(i)));
+  for (std::size_t i = 0; i < n; ++i) {
+    sim::Engine& home = shards ? shards->engine(shards->shard_of_mds(i)) : engine;
+    servers_.push_back(
+        std::make_unique<MetadataServer>(home, config.server, static_cast<std::uint32_t>(i)));
+  }
 }
 
 std::uint32_t MdsGroup::index_of(std::string_view path) const {
@@ -45,8 +45,8 @@ void MdsGroup::submit_batch_from(std::uint32_t src_key, std::size_t mds, OpKind 
   // completion hop posts back to the *calling* shard under the server's own
   // entity key (the server is the entity acting at completion time).  Both
   // hops apply at window boundaries whether or not the shards coincide, so
-  // the coupling quantizes identically at every shard and domain count.
-  const std::size_t home = shards_->shard_of_domain(shards_->domain_of_mds(mds));
+  // the coupling quantizes identically at every shard count.
+  const std::size_t home = shards_->shard_of_mds(mds);
   const std::size_t back = sim::current_shard_index();
   const std::uint32_t mds_key = shards_->key_of_mds(mds);
   shards_->post_at_boundary(

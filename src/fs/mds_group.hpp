@@ -9,8 +9,8 @@
 //
 // Two execution modes mirror `FileSystem`:
 //   * classic — every server lives on one engine; submits are direct calls.
-//   * sharded — server `i` is homed on the shard that owns its domain
-//     (`ShardGroup::domain_of_mds`, the same span rule that places OSTs).
+//   * sharded — server `i` is homed on shard `ShardGroup::shard_of_mds(i)`
+//     (the same span rule that places OSTs).
 //     Requests from ranks reach the server through the channel plane
 //     (`submit_from`), and completions hop back the same way using the
 //     server's own entity key — so every rank→MDS coupling quantizes at a
@@ -40,8 +40,8 @@ class MdsGroup {
 
   /// Classic construction: all servers share `engine`.
   MdsGroup(sim::Engine& engine, Config config);
-  /// Sharded construction: server `i` lives on the engine of the shard that
-  /// owns domain `shards.domain_of_mds(i)`.
+  /// Sharded construction: server `i` lives on the engine of shard
+  /// `shards.shard_of_mds(i)`.
   MdsGroup(sim::ShardGroup& shards, Config config);
   MdsGroup(const MdsGroup&) = delete;
   MdsGroup& operator=(const MdsGroup&) = delete;
@@ -49,8 +49,8 @@ class MdsGroup {
   [[nodiscard]] std::size_t count() const { return servers_.size(); }
   [[nodiscard]] MetadataServer& server(std::size_t i) { return *servers_.at(i); }
 
-  /// Deterministic placement: FNV-1a(path) % count.  Independent of shard
-  /// and domain counts, so the same path always lands on the same server.
+  /// Deterministic placement: FNV-1a(path) % count.  Independent of the
+  /// shard count, so the same path always lands on the same server.
   [[nodiscard]] std::uint32_t index_of(std::string_view path) const;
 
   /// Direct submission to server `mds` (classic mode, or callers already on
@@ -81,6 +81,10 @@ class MdsGroup {
   [[nodiscard]] std::size_t peak_backlog() const;     // max over servers
 
  private:
+  // Shared body of the public constructors: server i lives on `engine`, or
+  // on its home shard's engine when `shards` is set.
+  MdsGroup(sim::Engine& engine, sim::ShardGroup* shards, Config config);
+
   sim::ShardGroup* shards_ = nullptr;
   std::vector<std::unique_ptr<MetadataServer>> servers_;
 };

@@ -6,33 +6,29 @@
 namespace aio::net {
 
 Network::Network(sim::Engine& engine, NetConfig config, std::size_t n_ranks)
-    : engine_(engine), config_(config), n_ranks_(n_ranks), counters_(1) {
-  if (n_ranks == 0) throw std::invalid_argument("Network: need at least one rank");
-  if (config_.cores_per_node == 0) throw std::invalid_argument("Network: cores_per_node == 0");
-  const std::size_t nodes = (n_ranks + config_.cores_per_node - 1) / config_.cores_per_node;
-  nics_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    nics_.push_back(std::make_unique<sim::FluidResource>(
-        engine_, sim::FluidResource::Config{config_.nic_bw, 0.0, 0.0}));
-  }
-}
+    : Network(engine, nullptr, config, n_ranks) {}
 
 Network::Network(sim::ShardGroup& shards, NetConfig config, std::size_t n_ranks)
-    : engine_(shards.engine(0)),
+    : Network(shards.engine(0), &shards, config, n_ranks) {}
+
+Network::Network(sim::Engine& engine, sim::ShardGroup* shards, NetConfig config,
+                 std::size_t n_ranks)
+    : engine_(engine),
       config_(config),
       n_ranks_(n_ranks),
-      shards_(&shards),
-      counters_(shards.n_shards()) {
+      shards_(shards),
+      counters_(shards ? shards->n_shards() : 1) {
   if (n_ranks == 0) throw std::invalid_argument("Network: need at least one rank");
   if (config_.cores_per_node == 0) throw std::invalid_argument("Network: cores_per_node == 0");
-  if (n_ranks != shards.n_ranks())
+  if (shards && n_ranks != shards->n_ranks())
     throw std::invalid_argument("Network: rank count does not match the shard group");
   const std::size_t nodes = (n_ranks + config_.cores_per_node - 1) / config_.cores_per_node;
   nics_.reserve(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
+    sim::Engine& home =
+        shards ? shards->engine(shards->shard_of_rank(i * config_.cores_per_node)) : engine;
     nics_.push_back(std::make_unique<sim::FluidResource>(
-        shards.engine_of_rank(i * config_.cores_per_node),
-        sim::FluidResource::Config{config_.nic_bw, 0.0, 0.0}));
+        home, sim::FluidResource::Config{config_.nic_bw, 0.0, 0.0}));
   }
 }
 
@@ -73,23 +69,22 @@ void Network::send(Rank from, Rank to, double bytes, Deliver deliver) {
   }
 
   // Sharded routing.  The sender's NIC and the send event both live on the
-  // sender's shard.  Deliveries quantize by physical topology, never by the
-  // domain layout: a message that stays on one node is scheduled directly
+  // sender's shard.  Deliveries quantize by physical topology, never by
+  // placement: a message that stays on one node is scheduled directly
   // (node-aligned rank cuts guarantee same node ⇒ same engine), while every
   // node-crossing delivery goes through the channel plane and lands on a
-  // window boundary — even when both nodes share a domain.  Keying the rule
-  // to nodes (not domains) is what makes the simulated timestamps invariant
-  // under the domain count.
+  // window boundary — even when both nodes share a shard.  Keying the rule
+  // to nodes (not shards) is what makes the simulated timestamps invariant
+  // under the shard count.
   sim::ShardGroup& sg = *shards_;
   const bool same_node = node_of(from) == node_of(to);
-  sim::Engine& src_eng = sg.engine_of_rank(static_cast<std::size_t>(from));
+  sim::Engine& src_eng = sg.engine(sg.shard_of_rank(static_cast<std::size_t>(from)));
   if (from == to || bytes <= 0.0) {
     if (same_node) {
       src_eng.schedule_after(latency, std::move(deliver));
     } else {
       const std::uint32_t src_key = sg.key_of_rank(static_cast<std::size_t>(from));
-      const std::uint32_t dst_dom = sg.domain_of_rank(static_cast<std::size_t>(to));
-      sg.post(src_key, sg.shard_of_domain(dst_dom), src_eng.now() + latency,
+      sg.post(src_key, sg.shard_of_rank(static_cast<std::size_t>(to)), src_eng.now() + latency,
               std::move(deliver));
     }
     return;
@@ -106,8 +101,8 @@ void Network::send(Rank from, Rank to, double bytes, Deliver deliver) {
   // source key and destination shard are fixed at send time, so the closure
   // stays at exactly the classic relay's footprint.
   const std::uint32_t src_key = sg.key_of_rank(static_cast<std::size_t>(from));
-  const auto dst_shard = static_cast<std::uint32_t>(
-      sg.shard_of_domain(sg.domain_of_rank(static_cast<std::size_t>(to))));
+  const auto dst_shard =
+      static_cast<std::uint32_t>(sg.shard_of_rank(static_cast<std::size_t>(to)));
   auto relay = [this, src_key, dst_shard, deliver = std::move(deliver)](sim::Time now) mutable {
     shards_->post(src_key, dst_shard, now + config_.latency_s, std::move(deliver));
   };

@@ -45,9 +45,9 @@ class Network {
   /// Sharded construction: each node's NIC is homed on the engine of the
   /// shard owning its ranks (rank cuts are node-aligned, so a NIC never
   /// straddles shards).  Node-crossing deliveries travel through the shard
-  /// group's channels and land on a window boundary regardless of the
-  /// domain layout; same-node deliveries are scheduled directly, exactly
-  /// like the classic path.
+  /// group's channels and land on a window boundary wherever the two nodes
+  /// live; same-node deliveries are scheduled directly, exactly like the
+  /// classic path.
   Network(sim::ShardGroup& shards, NetConfig config, std::size_t n_ranks);
 
   /// Sends `bytes` from `from` to `to`; `deliver` runs at arrival time.
@@ -71,6 +71,11 @@ class Network {
     std::uint64_t messages = 0;
     double bytes = 0.0;
   };
+
+  // Shared body of the public constructors: node i's NIC lives on
+  // `engine`, or on the engine of the shard owning its ranks when `shards`
+  // is set.
+  Network(sim::Engine& engine, sim::ShardGroup* shards, NetConfig config, std::size_t n_ranks);
 
   sim::Engine& engine_;
   NetConfig config_;

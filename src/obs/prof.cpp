@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 namespace aio::obs::prof {
 
-ShardProfiler::ShardProfiler(Config config) : config_(std::move(config)) {}
+ShardProfiler::ShardProfiler(Config config) : config_(config) {}
 
 void ShardProfiler::bind(std::size_t n_shards) {
   slots_.assign(n_shards, Slot{});
@@ -112,14 +111,6 @@ Json ShardProfiler::to_json() const {
   doc.set("totals", slot_json(totals()));
   doc.set("imbalance", imbalance());
   return doc;
-}
-
-bool ShardProfiler::write() const {
-  if (config_.path.empty()) return true;
-  std::ofstream out(config_.path);
-  if (!out) return false;
-  out << to_json().dump() << '\n';
-  return static_cast<bool>(out);
 }
 
 }  // namespace aio::obs::prof

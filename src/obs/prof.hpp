@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -44,7 +43,6 @@ namespace aio::obs::prof {
 class ShardProfiler {
  public:
   struct Config {
-    std::string path;       ///< write() destination; empty = in-memory only
     double period_s = 0.0;  ///< stderr row cadence (host seconds); 0 = off
   };
 
@@ -95,9 +93,6 @@ class ShardProfiler {
   /// aio-prof-v1 document: config, window context, per-shard slots, totals,
   /// imbalance.
   [[nodiscard]] Json to_json() const;
-  /// Writes to_json() to `config().path`; no-op (true) when the path is
-  /// empty, false when the file could not be written.
-  [[nodiscard]] bool write() const;
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] double window_s() const { return window_s_; }

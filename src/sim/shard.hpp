@@ -2,24 +2,22 @@
 //
 // A `ShardGroup` partitions one simulation into S shards, each running its
 // own `sim::Engine` (4-ary heap, SBO callbacks — unchanged) on its own
-// thread.  The partition is expressed through a fixed *domain grid* that is
-// independent of the shard count: the OST range and the rank range are cut
-// into D contiguous spans (D = min(32, n_osts) by default, overridable
-// through `n_domains`; rank cuts are node-aligned so a node's NIC
-// never straddles domains), and each shard owns a contiguous run of domains
-// chosen by a deterministic static weight model (ranks + OSTs per domain) so
-// heavy domains do not pile onto one shard.
+// thread.  Each shard owns three contiguous spans of entities: a run of
+// ranks whose cuts are rounded down to node boundaries (so a node's NIC
+// never straddles shards), a run of storage targets, and a run of metadata
+// servers (see shard_of_rank / shard_of_ost / shard_of_mds).  S is clamped
+// to [1, min(kMaxShards, n_osts)], so every shard owns at least one OST.
 //
-// Couplings quantize by *physical* topology, not by domain: an interaction
-// that stays inside one node (rank→rank on the same node) is scheduled
-// directly on the owning engine, while every interaction that crosses a node
-// or storage-target boundary — network deliveries, OST write hand-offs,
-// fabric-governor broadcasts, protocol completions — travels through the
-// channel plane and is applied at a window boundary, *even when source and
-// destination happen to share a domain or a shard*.  Because the rule never
-// mentions domains, the set of quantized couplings (and therefore every
-// simulated timestamp) is invariant under the domain count as well as the
-// shard count.
+// Couplings quantize by *physical* topology, not by ownership: an
+// interaction that stays inside one node (rank→rank on the same node) is
+// scheduled directly on the owning engine, while every interaction that
+// crosses a node or storage-target boundary — network deliveries, OST write
+// hand-offs, fabric-governor broadcasts, protocol completions — travels
+// through the channel plane and is applied at a window boundary, *even when
+// source and destination happen to share a shard*.  Because the rule never
+// mentions shards, the set of quantized couplings (and therefore every
+// simulated timestamp) is invariant under the shard count and the span
+// cuts: placement only decides which thread runs an entity.
 //
 // Time advances on a fixed window grid W_k = k * window.  Each round a shard
 // publishes its horizon — the minimum of its engine's next event time and
@@ -37,11 +35,11 @@
 // granularity for barrier amortization (see DESIGN.md §10); the default is
 // 64 lookaheads.
 //
-// Determinism: because the domain grid, the window grid, the quantization
-// rule, and the merge order are all independent of S (and of the domain
-// count), the event sequence each entity observes — and therefore every
-// simulated timestamp — is bit-identical at any shard count, including
-// S = 1 (which runs the same window loop inline, no threads).
+// Determinism: because the window grid, the quantization rule, the entity
+// keys and the merge order are all independent of S, the event sequence
+// each entity observes — and therefore every simulated timestamp — is
+// bit-identical at any shard count, including S = 1 (which runs the same
+// window loop inline, no threads).
 //
 // Observation follows the classic engine's rule: the host hands the group
 // its one recorder (set_recorder), which the barrier feeds once per round.
@@ -80,25 +78,25 @@ namespace aio::sim {
 class ShardGroup {
  public:
   struct Config {
-    std::size_t n_shards = 1;  ///< requested; clamped to [1, n_domains]
+    std::size_t n_shards = 1;  ///< requested; clamped to [1, min(kMaxShards, n_osts)]
     double lookahead_s = 8e-6; ///< conservative bound: min cross-shard latency
     /// Window = lookahead * window_batch, in [1, kMaxWindowBatch].  Larger
     /// values amortize the per-window barrier over more events at the cost
     /// of coarser cross-entity timing quantization.
     double window_batch = 64.0;
-    std::size_t n_domains = 0;  ///< 0 = min(kDefaultDomains, n_osts)
     std::size_t n_ranks = 0;    ///< total protocol ranks (> 0)
     std::size_t ranks_per_node = 1;  ///< NIC granularity for rank cuts
     std::size_t n_osts = 0;     ///< total storage targets (> 0)
-    /// Metadata servers homed on the grid (>= 1).  Each MDS is its own
-    /// entity: it owns a merge key after the nodes and OSTs and is homed on
-    /// a domain by the same span rule that places OSTs, so a multi-MDS tier
-    /// spreads over the shards.  Placement never affects timing — every
-    /// rank→MDS coupling crosses the compute/metadata boundary and rides
-    /// the channel plane regardless of domain layout.
+    /// Metadata servers (>= 1).  Each MDS is its own entity: it owns a
+    /// merge key after the nodes and OSTs and is homed by the same span rule
+    /// that places OSTs, so a multi-MDS tier spreads over the shards.
+    /// Placement never affects timing — every rank→MDS coupling crosses the
+    /// compute/metadata boundary and rides the channel plane wherever the
+    /// server lives.
     std::size_t n_mds = 1;
   };
-  static constexpr std::size_t kDefaultDomains = 32;
+  /// Upper clamp on the shard count (below n_osts on every paper machine).
+  static constexpr std::size_t kMaxShards = 32;
   /// Largest accepted window_batch.  Messages posted inside a window are
   /// clamped to its end, so simulated time jumps to window ends; once those
   /// are so large that one ulp of simulated time exceeds the fluid model's
@@ -113,7 +111,6 @@ class ShardGroup {
   ShardGroup& operator=(const ShardGroup&) = delete;
 
   [[nodiscard]] std::size_t n_shards() const { return n_shards_; }
-  [[nodiscard]] std::size_t n_domains() const { return n_domains_; }
   [[nodiscard]] std::size_t n_ranks() const { return cfg_.n_ranks; }
   [[nodiscard]] std::size_t n_osts() const { return cfg_.n_osts; }
   [[nodiscard]] std::size_t n_nodes() const { return n_nodes_; }
@@ -123,33 +120,24 @@ class ShardGroup {
 
   [[nodiscard]] Engine& engine(std::size_t shard) { return *engines_[shard]; }
 
-  [[nodiscard]] std::uint32_t domain_of_rank(std::size_t rank) const;
-  [[nodiscard]] std::uint32_t domain_of_ost(std::size_t ost) const {
-    return static_cast<std::uint32_t>(((ost + 1) * n_domains_ - 1) / cfg_.n_osts);
+  /// Owning shard of each entity.  Rank cut s is s·n_ranks/S rounded down
+  /// to a node boundary; OST o and server m go to ((o+1)·S−1)/n_osts and
+  /// ((m+1)·S−1)/n_mds — contiguous, balanced spans.
+  [[nodiscard]] std::size_t shard_of_rank(std::size_t rank) const;
+  [[nodiscard]] std::size_t shard_of_ost(std::size_t ost) const {
+    return ((ost + 1) * n_shards_ - 1) / cfg_.n_osts;
   }
-  [[nodiscard]] std::size_t shard_of_domain(std::uint32_t domain) const {
-    return shard_of_domain_[domain];
-  }
-  [[nodiscard]] Engine& engine_of_rank(std::size_t rank) {
-    return engine(shard_of_domain(domain_of_rank(rank)));
-  }
-  [[nodiscard]] Engine& engine_of_ost(std::size_t ost) {
-    return engine(shard_of_domain(domain_of_ost(ost)));
-  }
-  [[nodiscard]] std::uint32_t domain_of_mds(std::size_t mds) const {
-    return static_cast<std::uint32_t>(((mds + 1) * n_domains_ - 1) / n_mds_);
-  }
-  [[nodiscard]] Engine& engine_of_mds(std::size_t mds) {
-    return engine(shard_of_domain(domain_of_mds(mds)));
+  [[nodiscard]] std::size_t shard_of_mds(std::size_t mds) const {
+    return ((mds + 1) * n_shards_ - 1) / n_mds_;
   }
 
   /// Canonical merge keys.  A message's source is a physical *entity* — a
   /// node (for anything a rank does), a storage target, or a metadata
-  /// server — numbered so the key space is independent of the domain and
-  /// shard counts: nodes first, then OSTs, then metadata servers.  An
-  /// entity lives entirely inside one domain (rank cuts are node-aligned;
-  /// an OST or MDS is atomic), so all of a key's messages come from one
-  /// shard and its sequence numbers are monotone.
+  /// server — numbered so the key space is independent of the shard count:
+  /// nodes first, then OSTs, then metadata servers.  An entity lives
+  /// entirely on one shard (rank cuts are node-aligned; an OST or MDS is
+  /// atomic), so all of a key's messages come from one shard and its
+  /// sequence numbers are monotone.
   [[nodiscard]] std::uint32_t key_of_rank(std::size_t rank) const {
     return static_cast<std::uint32_t>(rank / cfg_.ranks_per_node);
   }
@@ -252,16 +240,15 @@ class ShardGroup {
   bool barrier_wait(double window_end);
   void abort_barrier();
   void flush_records(double window_end);
+  // Owning shard of an entity key (post()'s ownership check).
+  [[nodiscard]] std::size_t shard_of_key(std::uint32_t key) const;
 
   Config cfg_;
   std::size_t n_shards_ = 1;
-  std::size_t n_domains_ = 1;
   std::size_t n_nodes_ = 1;
   std::size_t n_mds_ = 1;
   double window_s_ = 0.0;
-  std::vector<std::size_t> rank_lo_;  // D+1 node-aligned rank cuts
-  std::vector<std::size_t> shard_of_domain_;   // weight-balanced contiguous cuts
-  std::vector<std::uint32_t> domain_of_key_;   // entity -> owning domain
+  std::vector<std::size_t> rank_lo_;  // S+1 node-aligned rank cuts
   std::vector<std::unique_ptr<Engine>> engines_;
   // Channels are double-buffered by round parity: round r drains buf[r & 1]
   // while the window that follows posts into buf[(r + 1) & 1].  The single

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -244,25 +243,14 @@ TEST(ShardProfilerRun, ArmedRunIsBitIdenticalModuloProfRecords) {
   EXPECT_GT(prof.windows_executed(), 0u);
 }
 
-TEST(ShardProfilerRun, WriteEmitsParsableDocument) {
-  obs::prof::ShardProfiler::Config pc;
-  pc.path = testing::TempDir() + "aio_prof_test.json";
-  obs::prof::ShardProfiler prof(pc);
+TEST(ShardProfilerRun, ToJsonEmitsParsableDocument) {
+  obs::prof::ShardProfiler prof;
   auto cfg = rig_config(2);
   cfg.profiler = &prof;
   ShardedAdaptiveSim sim(std::move(cfg));
   (void)sim.run(seeded_job(3));
-  ASSERT_TRUE(prof.write());
 
-  std::FILE* f = std::fopen(pc.path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) text.append(buf, n);
-  std::fclose(f);
-  std::remove(pc.path.c_str());
-
-  const auto doc = obs::Json::parse(text);
+  const auto doc = obs::Json::parse(prof.to_json().dump());
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("schema")->str(), "aio-prof-v1");
   EXPECT_DOUBLE_EQ(num_at(*doc, {"n_shards"}), 2.0);

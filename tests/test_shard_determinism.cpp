@@ -9,9 +9,11 @@
 // its window, are rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <random>
 #include <string>
@@ -22,6 +24,7 @@
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "obs/sampler.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/shard.hpp"
 
@@ -231,26 +234,22 @@ TEST_P(ShardSparseDeterminism, LongTailDrainSkipsIdleWindows) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardSparseDeterminism, ::testing::Values(11u, 23u));
 
-// Determinism across the *domain* grid: couplings are quantized by physical
-// boundary (node / storage atom), not by domain membership, so re-cutting
-// the domain grid — which changes shard ownership, channel routing, and
-// message batching — must not move a single timestamp.  This is the
-// property that makes the domain grid a pure load-balancing choice.
-TEST(ShardDomainInvariance, DigestsInvariantUnderDomainGrid) {
-  const IoJob job = seeded_job(5);
-  auto cfg = rig_config(4);
-  const RunOutcome base = run_job(cfg, job);
+// Determinism under uneven placement: couplings are quantized by physical
+// boundary (node / storage atom), not by shard membership, so shard counts
+// that cut the 48 nodes and 16 OSTs unevenly — which changes ownership,
+// channel routing, and message batching — must not move a single timestamp.
+// This is the property that makes placement a pure load-balancing choice.
+TEST(ShardPlacementInvariance, DigestsInvariantUnderUnevenShardCounts) {
+  const RunOutcome base = run_at(1, 5);
   ASSERT_GT(base.n_records, 0u);
-  for (const std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{16}}) {
-    auto c = cfg;
-    c.n_domains = d;
-    const RunOutcome other = run_job(c, job);
-    expect_identical(base, other, (testing::Message() << "domains=" << d).GetString().c_str());
+  for (const std::size_t s : {std::size_t{3}, std::size_t{5}, std::size_t{7}, std::size_t{16}}) {
+    const RunOutcome other = run_at(s, 5);
+    expect_identical(base, other, (testing::Message() << "shards=" << s).GetString().c_str());
   }
 }
 
 // Multi-MDS tier determinism: with a 4-wide metadata tier the servers are
-// homed on different shards (one per domain span), so open/close requests
+// homed on different shards (one per MDS span), so open/close requests
 // and completions cross the channel plane in both directions.  Because every
 // rank<->MDS coupling quantizes at a window boundary regardless of placement,
 // the digests must stay bit-identical at every shard count — same property,
@@ -270,20 +269,20 @@ TEST(ShardMultiMds, DigestsBitIdenticalAcrossShardCounts) {
   }
 }
 
-// And the domain grid stays a pure load-balancing knob with a tier: re-cutting
-// the grid moves MDS homes between shards but no timestamps.
-TEST(ShardMultiMds, DigestsInvariantUnderDomainGridWithTier) {
+// And placement stays a pure load-balancing choice with a tier: uneven shard
+// counts split the four servers unevenly but move no timestamps.
+TEST(ShardMultiMds, DigestsInvariantUnderUnevenShardCountsWithTier) {
   const IoJob job = seeded_job(5);
-  auto cfg = rig_config(4);
+  auto cfg = rig_config(1);
   cfg.fs.n_mds = 4;
   const RunOutcome base = run_job(cfg, job);
   ASSERT_GT(base.n_records, 0u);
-  for (const std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
-    auto c = cfg;
-    c.n_domains = d;
+  for (const std::size_t s : {std::size_t{3}, std::size_t{5}}) {
+    auto c = rig_config(s);
+    c.fs.n_mds = 4;
     const RunOutcome other = run_job(c, job);
     expect_identical(base, other,
-                     (testing::Message() << "n_mds=4 domains=" << d).GetString().c_str());
+                     (testing::Message() << "n_mds=4 shards=" << s).GetString().c_str());
   }
 }
 
@@ -322,48 +321,73 @@ TEST(ShardDeterminismNegative, RecordBeforeThePreviousWindowIsRejected) {
   }
 }
 
-TEST(ShardPlan, DomainGridIsShardCountInvariant) {
-  // The domain maps must not depend on n_shards — that is the root of the
-  // determinism argument — and shard spans must be contiguous and balanced.
+TEST(ShardPlan, SpansAreContiguousNodeAlignedAndBalanced) {
+  // Each shard owns one contiguous, node-aligned run of ranks within one
+  // node of n_ranks/S, a non-empty run of OSTs, and a run of servers.
   aio::sim::ShardGroup::Config c;
   c.n_ranks = 223;
   c.ranks_per_node = 4;
   c.n_osts = 29;
-  c.n_shards = 1;
-  aio::sim::ShardGroup one(c);
-  c.n_shards = 8;
-  aio::sim::ShardGroup eight(c);
-  ASSERT_EQ(one.n_domains(), eight.n_domains());
-  for (std::size_t r = 0; r < c.n_ranks; ++r)
-    ASSERT_EQ(one.domain_of_rank(r), eight.domain_of_rank(r)) << "rank " << r;
-  for (std::size_t o = 0; o < c.n_osts; ++o)
-    ASSERT_EQ(one.domain_of_ost(o), eight.domain_of_ost(o)) << "ost " << o;
-  // Node alignment: all ranks of one node share a domain.
-  for (std::size_t r = 0; r + 1 < c.n_ranks; ++r) {
-    if (r / c.ranks_per_node == (r + 1) / c.ranks_per_node) {
-      ASSERT_EQ(eight.domain_of_rank(r), eight.domain_of_rank(r + 1)) << "rank " << r;
+  c.n_mds = 3;
+  for (const std::size_t want : {1u, 2u, 3u, 5u, 8u, 29u}) {
+    c.n_shards = want;
+    const aio::sim::ShardGroup g(c);
+    const std::size_t n = g.n_shards();
+    ASSERT_EQ(n, want);
+    std::vector<std::size_t> ranks(n, 0), osts(n, 0);
+    for (std::size_t r = 0; r < c.n_ranks; ++r) {
+      const std::size_t s = g.shard_of_rank(r);
+      ASSERT_LT(s, n) << "rank " << r;
+      ++ranks[s];
+      if (r == 0) {
+        ASSERT_EQ(s, 0u);
+        continue;
+      }
+      const std::size_t prev = g.shard_of_rank(r - 1);
+      if (r % c.ranks_per_node != 0) {
+        ASSERT_EQ(s, prev) << "node split at rank " << r << ", S=" << n;
+      } else if (s != prev) {
+        // Cut s sits at s·n_ranks/S rounded down to a node boundary.
+        ASSERT_EQ(s, prev + 1) << "rank " << r << ", S=" << n;
+        ASSERT_EQ(r, s * c.n_ranks / n / c.ranks_per_node * c.ranks_per_node) << "S=" << n;
+      }
     }
+    ASSERT_EQ(g.shard_of_rank(c.n_ranks - 1), n - 1) << "S=" << n;
+    const double even = static_cast<double>(c.n_ranks) / static_cast<double>(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      EXPECT_LT(std::abs(static_cast<double>(ranks[s]) - even),
+                static_cast<double>(c.ranks_per_node))
+          << "shard " << s << ", S=" << n;
+    }
+    for (std::size_t o = 0; o < c.n_osts; ++o) {
+      ++osts[g.shard_of_ost(o)];
+      if (o > 0) {
+        ASSERT_GE(g.shard_of_ost(o), g.shard_of_ost(o - 1)) << "ost " << o;
+      }
+    }
+    for (std::size_t s = 0; s < n; ++s) EXPECT_GE(osts[s], 1u) << "shard " << s << ", S=" << n;
+    for (std::size_t m = 0; m < c.n_mds; ++m) {
+      ASSERT_LT(g.shard_of_mds(m), n);
+      if (m > 0) {
+        ASSERT_GE(g.shard_of_mds(m), g.shard_of_mds(m - 1)) << "mds " << m;
+      }
+    }
+    EXPECT_EQ(g.shard_of_mds(c.n_mds - 1), n - 1) << "S=" << n;
   }
-  // Shard spans: contiguous, non-decreasing, every shard owns >= 1 domain.
-  std::vector<std::size_t> owners;
-  for (std::uint32_t d = 0; d < eight.n_domains(); ++d)
-    owners.push_back(eight.shard_of_domain(d));
-  for (std::size_t i = 1; i < owners.size(); ++i) {
-    ASSERT_GE(owners[i], owners[i - 1]);
-    ASSERT_LE(owners[i] - owners[i - 1], 1u);
-  }
-  ASSERT_EQ(owners.front(), 0u);
-  ASSERT_EQ(owners.back(), eight.n_shards() - 1);
 }
 
-TEST(ShardPlan, ShardCountClampsToDomains) {
+TEST(ShardPlan, ShardCountClampsToOstsAndCap) {
   aio::sim::ShardGroup::Config c;
   c.n_ranks = 16;
-  c.n_osts = 3;  // 3 domains max
+  c.n_osts = 3;  // a shard must own at least one OST
   c.n_shards = 8;
-  aio::sim::ShardGroup g(c);
-  EXPECT_EQ(g.n_domains(), 3u);
-  EXPECT_EQ(g.n_shards(), 3u);
+  EXPECT_EQ(aio::sim::ShardGroup(c).n_shards(), 3u);
+  c.n_osts = 672;
+  c.n_shards = 40;
+  EXPECT_EQ(aio::sim::ShardGroup(c).n_shards(), aio::sim::ShardGroup::kMaxShards);
+  EXPECT_EQ(aio::sim::ShardGroup::kMaxShards, 32u);
+  c.n_shards = 0;
+  EXPECT_EQ(aio::sim::ShardGroup(c).n_shards(), 1u);
 }
 
 TEST(ShardPlan, WindowBatchOutsideRangeIsRejected) {
@@ -384,6 +408,31 @@ TEST(ShardPlan, WindowBatchOutsideRangeIsRejected) {
     c.window_batch = ok;
     EXPECT_NO_THROW(aio::sim::ShardGroup g(c)) << ok;
   }
+}
+
+TEST(ShardedRun, FabricActiveProbeReadsTheGovernorCount) {
+  // The rig's fabric (3 GB/s) is below 16 OSTs x 500 MB/s of ingest, so
+  // the governor engages while the run writes.  The fs.fabric_active probe
+  // reads governor 0, which every OST's activity transition reaches at the
+  // next window boundary: sampled on shard 0's engine, it sees the targets
+  // that are ingesting.
+  ShardedAdaptiveSim sim(rig_config(1));
+  aio::obs::Registry registry;
+  aio::obs::Sampler sampler(registry, 1e-3);
+  sim.fs().register_probes(sampler);
+  aio::sim::Engine& eng = sim.shards().engine(0);
+  std::function<void()> tick = [&] {
+    sampler.tick(eng.now());
+    eng.schedule_daemon_after(sampler.period(), [&] { tick(); });
+  };
+  eng.schedule_daemon_after(sampler.period(), [&] { tick(); });
+  (void)sim.run(seeded_job(5));
+  ASSERT_GT(sampler.ticks(), 1u);
+  double peak = 0.0;
+  for (const auto& [t, v] : registry.all_series().at("fs.fabric_active").samples())
+    peak = std::max(peak, v);
+  EXPECT_GT(peak, 0.0);
+  EXPECT_LE(peak, static_cast<double>(kOsts));
 }
 
 TEST(ShardedRun, WindowBatchAtTheCeilingRunsToCompletion) {
