@@ -14,7 +14,6 @@
 #include "core/index/index.hpp"
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_fsm.hpp"
 #include "fs/ost.hpp"
 #include "parallel.hpp"
 #include "sim/engine.hpp"

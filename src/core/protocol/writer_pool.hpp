@@ -16,9 +16,18 @@
 // writer's index memory is released as soon as it is merged, not at run
 // teardown.
 //
-// WriterFsm (writer_fsm.hpp) is a single-slot view over this pool: same
-// transition code, object-per-writer convenience for unit tests and the
-// thread runtime.
+// Algorithm 1 in brief, for the writer on one pool slot:
+//
+//   1: Wait for message (target, offset)
+//   2: Build local index based on offset
+//   3: Write data
+//   4: Send WRITE_COMPLETE to triggering SC
+//   5: if triggering SC != target SC then
+//   6:   Send WRITE_COMPLETE to target SC
+//   8: Send local index to target SC
+//
+// Index metadata is shipped *after* the data write completes so the transfer
+// overlaps the next writer's data write (paper Section III-1).
 #pragma once
 
 #include <functional>

@@ -6,9 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/protocol/coordinator_fsm.hpp"
-#include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_pool.hpp"
+#include "core/protocol/roles.hpp"
 #include "obs/recorder.hpp"
 #include "sim/shard.hpp"
 
@@ -16,15 +14,9 @@ namespace aio::core {
 
 namespace {
 
-/// Per-run state; kept alive by the callbacks that reference it.
-///
-/// Roles live in role-segregated storage sized to the role populations — a
-/// dense WriterPool for the n writers, one SubCoordinatorFsm per group, one
-/// coordinator — instead of a per-rank actor struct.  At full Jaguar scale
-/// (224,160 ranks) the per-rank layout spent kilobytes per rank on FSM
-/// configs (member vectors, resolver copies, optional<> slots for roles the
-/// rank never plays); the pooled layout keeps per-writer state to a few
-/// scalars plus the writer's own index blocks.
+/// Per-run state; kept alive by the callbacks that reference it.  The
+/// protocol roles live in one core::Roles; this driver moves their messages
+/// over the simulated network and their writes onto the simulated OSTs.
 struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   fs::FileSystem& fs;
   net::Network& net;
@@ -35,12 +27,7 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   std::vector<fs::StripedFile*> files;  // one per group
   fs::StripedFile* master = nullptr;    // global index file
 
-  /// The run's single owned copy of per-writer payload sizes; the writer
-  /// pool and every SC config view subranges of it.
-  std::vector<double> bytes_per_writer;
-  std::optional<WriterPool> writers;
-  std::vector<SubCoordinatorFsm> scs;  // indexed by group
-  std::optional<CoordinatorFsm> coord;
+  std::optional<Roles> roles;
 
   IoResult result;
   std::function<void(IoResult)> on_done;
@@ -117,10 +104,6 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   void issue_write(Rank from, fs::StripedFile& file, double offset, double bytes,
                    fs::Ost::Mode mode, std::uint32_t file_id, WriteDone done);
 
-  [[nodiscard]] SubCoordinatorFsm& sc_at(Rank rank) {
-    return scs[static_cast<std::size_t>(topo.group_of(rank))];
-  }
-
   /// Scratch action list reused across deliveries, one per shard (classic
   /// runs use slot 0).  Steady-state steps fit the SmallVector's inline
   /// slots; the rare overflow (the coordinator's final broadcast) leaves its
@@ -144,45 +127,14 @@ void AdaptiveRun::begin(const IoJob& job) {
   result.total_bytes = job.total_bytes();
   result.var_names = job.var_names;
   result.writer_times.resize(n);
-  roles_remaining = n + g + 1;  // writers + SCs + coordinator
-
-  bytes_per_writer = job.bytes_per_writer;
-  const std::span<const double> all_bytes{bytes_per_writer};
-  const auto sc_of = [topo = topo](GroupId grp) { return topo.sc_rank(grp); };
-
-  {
-    WriterPool::Layout layout;
-    layout.first_rank = 0;
-    layout.group_of = [topo = topo](Rank r) { return topo.group_of(r); };
-    layout.sc_of = sc_of;
-    layout.bytes = all_bytes;
-    writers.emplace(std::move(layout), [&job](Rank r) { return job.blueprint_for(r); });
-  }
-  scs.reserve(g);
-  for (GroupId grp = 0; grp < static_cast<GroupId>(g); ++grp) {
-    SubCoordinatorFsm::Config sc;
-    sc.group = grp;
-    sc.rank = topo.sc_rank(grp);
-    sc.coordinator = Topology::coordinator_rank();
-    sc.first_member = topo.group_begin(grp);
-    sc.n_members = topo.group_size(grp);
-    sc.member_bytes =
-        all_bytes.subspan(static_cast<std::size_t>(sc.first_member), sc.n_members);
-    sc.max_concurrent = cfg.max_concurrent;
-    scs.emplace_back(std::move(sc));
-  }
-  {
-    CoordinatorFsm::Config cc;
-    cc.n_groups = g;
-    cc.group_size_of = [topo = topo](GroupId grp) { return topo.group_size(grp); };
-    cc.sc_of = sc_of;
-    cc.rank = Topology::coordinator_rank();
-    cc.stealing_enabled = cfg.stealing;
-    cc.steal_source = cfg.steal_most_remaining ? CoordinatorFsm::StealSource::MostRemaining
-                                               : CoordinatorFsm::StealSource::RoundRobin;
-    cc.retain_global_index = cfg.retain_global_index;
-    coord.emplace(std::move(cc));
-  }
+  roles.emplace(topo, job.bytes_per_writer, [&job](Rank r) { return job.blueprint_for(r); },
+                Roles::Config{.max_concurrent = cfg.max_concurrent,
+                              .stealing = cfg.stealing,
+                              .steal_source = cfg.steal_most_remaining
+                                                  ? CoordinatorFsm::StealSource::MostRemaining
+                                                  : CoordinatorFsm::StealSource::RoundRobin,
+                              .retain_global_index = cfg.retain_global_index});
+  roles_remaining = roles->n_roles();
 
   // --- file creation --------------------------------------------------------
   files.resize(g, nullptr);
@@ -249,7 +201,7 @@ void AdaptiveRun::begin(const IoJob& job) {
 void AdaptiveRun::start_protocol() {
   if (observing()) journal_mark(obs::Mark::kOpenDone);
   for (GroupId grp = 0; grp < static_cast<GroupId>(topo.n_groups()); ++grp) {
-    execute(topo.sc_rank(grp), scs[static_cast<std::size_t>(grp)].start());
+    execute(topo.sc_rank(grp), roles->start(grp));
   }
 }
 
@@ -267,7 +219,7 @@ void AdaptiveRun::emit_steal_grant(const SendAction& send) {
   r.u0 = static_cast<std::uint32_t>(src);
   r.u1 = static_cast<std::uint32_t>(grant->target_file);
   r.v0 = grant->offset;
-  r.v1 = static_cast<double>(coord->remaining_writers(src));
+  r.v1 = static_cast<double>(roles->coordinator().remaining_writers(src));
   obs_append(r);
 }
 
@@ -288,27 +240,7 @@ void AdaptiveRun::deliver(Rank to, const Message& msg) {
       wc && wc->kind == WriteComplete::Kind::AdaptiveDone && observing()) {
     emit_steal_complete(*wc);
   }
-  // Route by message type + destination role: writers get DO_WRITE, the
-  // destination rank's SC gets file traffic, the coordinator the rest.
-  struct Visitor {
-    AdaptiveRun& run;
-    Rank to;
-    Actions operator()(const DoWrite& m) { return run.writers->on_do_write(to, m); }
-    Actions operator()(const WriteComplete& m) {
-      if (m.kind == WriteComplete::Kind::WriterDone) return run.sc_at(to).on_write_complete(m);
-      return run.coord->on_write_complete(m);
-    }
-    Actions operator()(const IndexBody& m) { return run.sc_at(to).on_index_body(m); }
-    Actions operator()(const AdaptiveWriteStart& m) {
-      return run.sc_at(to).on_adaptive_write_start(m);
-    }
-    Actions operator()(const WritersBusy& m) { return run.coord->on_writers_busy(m); }
-    Actions operator()(const OverallWriteComplete& m) {
-      return run.sc_at(to).on_overall_write_complete(m);
-    }
-    Actions operator()(const SubIndex& m) { return run.coord->on_sub_index(m); }
-  };
-  Actions produced = std::visit(Visitor{*this, to}, msg.body);
+  Actions produced = roles->deliver(to, msg);
   Actions& scratch = scratch_shards_[shards ? sim::current_shard_index() : 0];
   scratch.clear();
   scratch.append(std::move(produced));
@@ -325,15 +257,15 @@ void AdaptiveRun::writer_write_done(Rank from, std::uint32_t file, sim::Time now
     r.u0 = file;
     obs_append(r);
   }
-  execute(from, writers->on_write_done(from));
+  execute(from, roles->write_done(from));
 }
 
 void AdaptiveRun::sc_index_write_done(Rank from, std::uint32_t, sim::Time) {
-  execute(from, sc_at(from).on_index_write_done());
+  execute(from, roles->index_write_done(from));
 }
 
 void AdaptiveRun::coord_gidx_write_done(Rank from, std::uint32_t, sim::Time) {
-  execute(from, coord->on_global_index_write_done());
+  execute(from, roles->global_index_write_done());
 }
 
 void AdaptiveRun::role_done() {
@@ -445,13 +377,14 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
 }
 
 void AdaptiveRun::all_roles_done() {
+  CoordinatorFsm& coord = roles->coordinator();
   result.t_data_done = eng().now();
-  result.steals = coord->total_steals();
-  result.grants_issued = coord->grants_issued();
+  result.steals = coord.total_steals();
+  result.grants_issued = coord.grants_issued();
   if (observing()) journal_mark(obs::Mark::kDataDone);
-  result.total_blocks_indexed = coord->total_blocks();
+  result.total_blocks_indexed = coord.total_blocks();
   if (cfg.retain_global_index) {
-    result.global_index = std::make_shared<GlobalIndex>(coord->take_global_index());
+    result.global_index = std::make_shared<GlobalIndex>(coord.take_global_index());
   }
   result.output_files = files;
   result.master_file = master;

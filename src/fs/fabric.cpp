@@ -10,7 +10,8 @@ namespace aio::fs {
 
 void FabricGovernor::attach(Ost& ost) {
   osts_.push_back(&ost);
-  ost.set_activity_hook([this](bool active) { on_activity(active); });
+  // A disabled governor never changes a factor: it counts nothing either.
+  if (fabric_bw_ > 0.0) ost.set_activity_hook([this](bool active) { on_activity(active); });
 }
 
 void FabricGovernor::notify_activity_batched(bool became_active, sim::Engine& engine) {

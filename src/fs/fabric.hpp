@@ -29,8 +29,8 @@ class FabricGovernor {
   FabricGovernor(double fabric_bw, double hysteresis = 0.02)
       : fabric_bw_(fabric_bw), hysteresis_(hysteresis) {}
 
-  /// Registers an OST and installs its activity hook.  The governor must
-  /// outlive the OSTs it manages.
+  /// Registers an OST and, unless the governor is disabled, installs its
+  /// activity hook.  The governor must outlive the OSTs it manages.
   void attach(Ost& ost);
 
   /// Registers an OST without installing a hook.  Sharded runs keep one

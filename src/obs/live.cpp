@@ -20,13 +20,8 @@ std::size_t wrap(std::int64_t s, std::int64_t n) {
 }  // namespace
 
 LivePlane::LivePlane(Config config) : config_(std::move(config)) {
-  // Degenerate geometry would divide by zero or leave the ring empty;
-  // clamp instead of asserting so a bad env value degrades gracefully.
-  if (!(config_.window_slot_s > 0.0)) config_.window_slot_s = 1.0;
-  if (config_.window_slots == 0) config_.window_slots = 1;
-  if (config_.run_window == 0) config_.run_window = 1;
-  slots_.assign(config_.window_slots, WaitSplit{});
-  run_ring_.reserve(config_.run_window);
+  slots_.assign(kWindowSlots, WaitSplit{});
+  run_ring_.reserve(kRunWindow);
   flight_.reserve(config_.flight_records);
   // Typical rigs fit these; bigger fleets grow once during the warm-up run.
   osts_.reserve(64);
@@ -58,16 +53,16 @@ std::unique_ptr<LivePlane> LivePlane::from_env(int slot) {
   return std::make_unique<LivePlane>(std::move(cfg));
 }
 
-double LivePlane::ewma_toward(double prev, double prev_t, double v, double t, double tau) {
-  if (prev_t < 0.0 || !(tau > 0.0)) return v;
+double LivePlane::ewma_toward(double prev, double prev_t, double v, double t) {
+  if (prev_t < 0.0) return v;
   const double dt = t > prev_t ? t - prev_t : 0.0;
   if (dt == 0.0) return prev;  // event cascades at one sim time: skip the exp
-  const double keep = std::exp(-dt / tau);
+  const double keep = std::exp(-dt / kEwmaTauS);
   return v + (prev - v) * keep;
 }
 
 WaitSplit& LivePlane::slot_at(double t) {
-  const auto idx = static_cast<std::int64_t>(std::floor(t / config_.window_slot_s));
+  const auto idx = static_cast<std::int64_t>(std::floor(t / kWindowSlotS));
   const auto n = static_cast<std::int64_t>(slots_.size());
   if (cur_slot_ == INT64_MIN) {
     cur_slot_ = idx;
@@ -110,11 +105,11 @@ void LivePlane::ingest(const Record& r) {
       if (fold_.run_open() && fold_.run().t_open >= 0.0) {
         const double rt = r.t - fold_.run().t_open;  // IoResult::io_seconds
         run_hist_.add(rt);
-        if (run_ring_.size() < config_.run_window) {
+        if (run_ring_.size() < kRunWindow) {
           run_ring_.push_back(rt);
         } else {
           run_ring_[run_ring_next_] = rt;
-          run_ring_next_ = (run_ring_next_ + 1) % config_.run_window;
+          run_ring_next_ = (run_ring_next_ + 1) % kRunWindow;
         }
       }
       break;
@@ -123,8 +118,7 @@ void LivePlane::ingest(const Record& r) {
       break;
     case Rec::kOstState: {
       OstState& o = osts_[r.id];
-      o.load_ewma =
-          ewma_toward(o.load_ewma, o.load_ewma_t, std::max(r.v1, r.v2), r.t, config_.ewma_tau_s);
+      o.load_ewma = ewma_toward(o.load_ewma, o.load_ewma_t, std::max(r.v1, r.v2), r.t);
       o.load_ewma_t = r.t;
       o.m_dirty = r.u0;
       break;
@@ -159,13 +153,13 @@ void LivePlane::on_writer_end(const Record& r) {
   const std::uint32_t target_ost = fold_.file_ost(r.u0);
   if (target_ost < osts_.size()) {
     OstState& o = osts_[target_ost];
-    o.svc_ewma = ewma_toward(o.svc_ewma, o.svc_ewma_t, dur, r.t, config_.ewma_tau_s);
+    o.svc_ewma = ewma_toward(o.svc_ewma, o.svc_ewma_t, dur, r.t);
     o.svc_ewma_t = r.t;
     ++o.writes;
   }
   if (r.u0 >= groups_.size()) groups_.resize(static_cast<std::size_t>(r.u0) + 1);
   GroupState& grp = groups_[r.u0];
-  grp.svc_ewma = ewma_toward(grp.svc_ewma, grp.svc_ewma_t, dur, r.t, config_.ewma_tau_s);
+  grp.svc_ewma = ewma_toward(grp.svc_ewma, grp.svc_ewma_t, dur, r.t);
   grp.svc_ewma_t = r.t;
 
   // The window takes the fold's split of this writer, the same one the fold

@@ -97,15 +97,16 @@ struct LiveView {
 
 class LivePlane {
  public:
+  static constexpr double kWindowSlotS = 1.0;    ///< seconds per wait-window slot
+  static constexpr std::size_t kWindowSlots = 16;  ///< window ring length
+  static constexpr double kEwmaTauS = 2.0;       ///< load/service EWMA time constant
+  static constexpr std::size_t kRunWindow = 64;  ///< recent-runs ring for windowed CoV
+
   struct Config {
     /// aio-live-v1 snapshot destination (JSON rows, one per tick); empty
     /// keeps the plane query-only.
     std::string snapshot_path;
     double snapshot_period_s = 1.0;  ///< host daemon cadence (AIO_LIVE_PERIOD_S)
-    double window_slot_s = 1.0;      ///< seconds per wait-window slot
-    std::size_t window_slots = 16;   ///< window ring length
-    double ewma_tau_s = 2.0;         ///< time constant of the load/service EWMAs
-    std::size_t run_window = 64;     ///< recent-runs ring for windowed CoV
     std::size_t flight_records = 65'536;  ///< flight-recorder ring; 0 disables
     std::string flight_path = "aio-flight.journal";  ///< dump_flight() target
   };
@@ -137,7 +138,7 @@ class LivePlane {
   /// unloaded OST).  Deterministic, and monotone in the load EWMA.
   [[nodiscard]] double straggler_score(std::uint32_t ost) const;
 
-  /// Sum over the live window ring (the last window_slots * window_slot_s
+  /// Sum over the live window ring (the last kWindowSlots * kWindowSlotS
   /// seconds of writer completions).
   [[nodiscard]] WaitSplit window() const;
   /// Closed runs plus the open run's partial; after flush() exactly the
@@ -199,8 +200,9 @@ class LivePlane {
   /// Advances the window ring to the slot containing `t`, zeroing skipped
   /// slots.
   WaitSplit& slot_at(double t);
-  /// Time-decayed EWMA update toward `v` observed at `t`.
-  static double ewma_toward(double prev, double prev_t, double v, double t, double tau);
+  /// Time-decayed EWMA update (time constant kEwmaTauS) toward `v`
+  /// observed at `t`.
+  static double ewma_toward(double prev, double prev_t, double v, double t);
   void on_writer_end(const Record& r);
   [[nodiscard]] static Json wait_json(const WaitSplit& w);
 

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -12,9 +13,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/protocol/coordinator_fsm.hpp"
-#include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_fsm.hpp"
+#include "core/protocol/roles.hpp"
 
 namespace aio::runtime {
 
@@ -90,11 +89,9 @@ class DataFile {
 };
 
 struct SharedState {
-  Topology topo;
   ThreadRunConfig cfg;
-  /// Shared per-writer payload sizes; SC configs view subranges instead of
-  /// copying their member lists (written once before threads launch).
-  std::vector<double> bytes;
+  /// Every rank's roles; each is touched only by the thread hosting it.
+  Roles roles;
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
   std::vector<std::unique_ptr<DataFile>> files;  // one per group
   std::atomic<std::size_t> roles_remaining;
@@ -103,16 +100,33 @@ struct SharedState {
   std::mutex result_mu;
   GlobalIndex global_index;
   std::uint64_t steals = 0;
+  std::mutex error_mu;
+  std::exception_ptr error;  ///< first failure on any rank thread
 
-  SharedState(Topology t, ThreadRunConfig c)
-      : topo(t), cfg(std::move(c)), roles_remaining(t.n_writers() + t.n_groups() + 1) {}
+  SharedState(Topology t, ThreadRunConfig c, const IoJob& job)
+      : cfg(std::move(c)),
+        roles(t, job.bytes_per_writer, [&job](Rank r) { return job.blueprint_for(r); },
+              Roles::Config{.max_concurrent = cfg.max_concurrent, .stealing = cfg.stealing}),
+        roles_remaining(roles.n_roles()) {}
 
-  void send(Rank to, Message msg) { mailboxes[static_cast<std::size_t>(to)]->push(std::move(msg)); }
+  void send(Rank to, Message msg) {
+    mailboxes.at(static_cast<std::size_t>(to))->push(std::move(msg));
+  }
 
   void role_done() {
     if (roles_remaining.fetch_sub(1) == 1) {
       for (auto& mb : mailboxes) mb->shutdown();
     }
+  }
+
+  /// Records a rank thread's failure and stops every rank; run_threaded
+  /// rethrows the first one once all threads have joined.
+  void fail(std::exception_ptr e) {
+    {
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::move(e);
+    }
+    for (auto& mb : mailboxes) mb->shutdown();
   }
 };
 
@@ -125,43 +139,11 @@ void append_footer(DataFile& file, std::uint64_t index_offset, std::uint64_t ind
   file.pwrite(index_offset + index_size, buf, sizeof buf);
 }
 
-/// Per-rank actor thread: hosts the writer role plus, on first-of-group
-/// ranks, the SC role, plus the coordinator on rank 0.
+/// Per-rank actor thread: executes the actions of the roles its rank hosts
+/// (the writer; the SC on first-of-group ranks; the coordinator on rank 0).
 class RankThread {
  public:
-  RankThread(SharedState& shared, Rank rank, const IoJob& job) : shared_(shared), rank_(rank) {
-    const GroupId group = shared_.topo.group_of(rank);
-    const auto sc_of = [topo = shared_.topo](GroupId g) { return topo.sc_rank(g); };
-    WriterFsm::Config wc;
-    wc.rank = rank;
-    wc.group = group;
-    wc.my_sc = shared_.topo.sc_rank(group);
-    wc.bytes = job.bytes_per_writer[static_cast<std::size_t>(rank)];
-    wc.blueprint = job.blueprint_for(rank);
-    wc.sc_of = sc_of;
-    writer_.emplace(std::move(wc));
-
-    if (shared_.topo.sc_rank(group) == rank) {
-      SubCoordinatorFsm::Config sc;
-      sc.group = group;
-      sc.rank = rank;
-      sc.coordinator = Topology::coordinator_rank();
-      sc.first_member = shared_.topo.group_begin(group);
-      sc.n_members = shared_.topo.group_size(group);
-      sc.member_bytes = std::span<const double>(shared_.bytes)
-                            .subspan(static_cast<std::size_t>(sc.first_member), sc.n_members);
-      sc.max_concurrent = shared_.cfg.max_concurrent;
-      sc_.emplace(std::move(sc));
-    }
-    if (rank == Topology::coordinator_rank()) {
-      CoordinatorFsm::Config cc;
-      cc.n_groups = shared_.topo.n_groups();
-      cc.group_size_of = [topo = shared_.topo](GroupId g) { return topo.group_size(g); };
-      cc.sc_of = sc_of;
-      cc.stealing_enabled = shared_.cfg.stealing;
-      coord_.emplace(std::move(cc));
-    }
-  }
+  RankThread(SharedState& shared, Rank rank) : shared_(shared), rank_(rank) {}
 
   void start() {
     thread_ = std::thread([this] { loop(); });
@@ -170,57 +152,43 @@ class RankThread {
 
   /// Kicks off the SC schedule (called from the main thread before start).
   void prime() {
-    if (sc_) execute(sc_->start());
+    const Topology& topo = shared_.roles.topology();
+    const GroupId group = topo.group_of(rank_);
+    if (topo.sc_rank(group) == rank_) execute(shared_.roles.start(group));
   }
 
  private:
   void loop() {
-    while (auto msg = shared_.mailboxes[static_cast<std::size_t>(rank_)]->pop()) {
-      dispatch(*msg);
+    try {
+      while (auto msg = shared_.mailboxes[static_cast<std::size_t>(rank_)]->pop()) {
+        execute(shared_.roles.deliver(rank_, *msg));
+      }
+    } catch (...) {
+      // A misroute, a protocol violation or a failed write: escaping the
+      // thread would end the program.
+      shared_.fail(std::current_exception());
     }
   }
 
-  void dispatch(const Message& msg) {
-    struct Visitor {
-      RankThread& t;
-      Actions operator()(const DoWrite& m) { return t.writer_->on_do_write(m); }
-      Actions operator()(const WriteComplete& m) {
-        if (m.kind == WriteComplete::Kind::WriterDone) return t.sc_->on_write_complete(m);
-        return t.coord_->on_write_complete(m);
-      }
-      Actions operator()(const IndexBody& m) { return t.sc_->on_index_body(m); }
-      Actions operator()(const AdaptiveWriteStart& m) {
-        return t.sc_->on_adaptive_write_start(m);
-      }
-      Actions operator()(const WritersBusy& m) { return t.coord_->on_writers_busy(m); }
-      Actions operator()(const OverallWriteComplete& m) {
-        return t.sc_->on_overall_write_complete(m);
-      }
-      Actions operator()(const SubIndex& m) { return t.coord_->on_sub_index(m); }
-    };
-    execute(std::visit(Visitor{*this}, msg.body));
-  }
-
   void execute(Actions actions) {
+    Roles& roles = shared_.roles;
     for (auto& action : actions) {
       if (auto* send = std::get_if<SendAction>(&action)) {
         shared_.send(send->to, std::move(send->msg));
       } else if (const auto* w = std::get_if<StartWriteAction>(&action)) {
         do_data_write(*w);
-        dispatch_self(writer_->on_write_done());
+        execute(roles.write_done(rank_));
       } else if (const auto* wi = std::get_if<WriteIndexAction>(&action)) {
         do_index_write(*wi);
-        dispatch_self(sc_->on_index_write_done());
+        execute(roles.index_write_done(rank_));
       } else if (std::get_if<WriteGlobalIndexAction>(&action)) {
         do_global_index_write();
-        dispatch_self(coord_->on_global_index_write_done());
+        execute(roles.global_index_write_done());
       } else if (std::get_if<RoleDoneAction>(&action)) {
         shared_.role_done();
       }
     }
   }
-
-  void dispatch_self(Actions actions) { execute(std::move(actions)); }
 
   void do_data_write(const StartWriteAction& w) {
     if (shared_.cfg.write_delay) {
@@ -236,18 +204,19 @@ class RankThread {
   }
 
   void do_index_write(const WriteIndexAction& wi) {
-    const auto bytes = sc_->file_index().serialize();
+    const auto bytes = shared_.roles.sc(wi.file).file_index().serialize();
     DataFile& file = *shared_.files[static_cast<std::size_t>(wi.file)];
     file.pwrite(static_cast<std::uint64_t>(wi.offset), bytes.data(), bytes.size());
     append_footer(file, static_cast<std::uint64_t>(wi.offset), bytes.size());
   }
 
   void do_global_index_write() {
+    CoordinatorFsm& coord = shared_.roles.coordinator();
     const std::lock_guard<std::mutex> lock(shared_.result_mu);
     // The coordinator is done with its copy; move it out instead of
     // duplicating every block record at the peak-memory moment of the run.
-    shared_.global_index = coord_->take_global_index();
-    shared_.steals = coord_->total_steals();
+    shared_.global_index = coord.take_global_index();
+    shared_.steals = coord.total_steals();
     const auto bytes = shared_.global_index.serialize();
     DataFile master(shared_.cfg.directory / "master.aidx");
     master.pwrite(0, bytes.data(), bytes.size());
@@ -256,9 +225,6 @@ class RankThread {
 
   SharedState& shared_;
   Rank rank_;
-  std::optional<WriterFsm> writer_;
-  std::optional<SubCoordinatorFsm> sc_;
-  std::optional<CoordinatorFsm> coord_;
   std::thread thread_;
 };
 
@@ -276,8 +242,7 @@ ThreadRunResult run_threaded(const core::IoJob& job, const ThreadRunConfig& conf
   std::filesystem::create_directories(config.directory);
 
   const std::size_t n_files = std::min(std::max<std::size_t>(config.n_files, 1), job.n_writers());
-  SharedState shared(core::Topology(job.n_writers(), n_files), config);
-  shared.bytes = job.bytes_per_writer;
+  SharedState shared(core::Topology(job.n_writers(), n_files), config, job);
   shared.mailboxes.reserve(job.n_writers());
   for (std::size_t r = 0; r < job.n_writers(); ++r)
     shared.mailboxes.push_back(std::make_unique<Mailbox>());
@@ -290,12 +255,13 @@ ThreadRunResult run_threaded(const core::IoJob& job, const ThreadRunConfig& conf
   std::vector<std::unique_ptr<RankThread>> threads;
   threads.reserve(job.n_writers());
   for (std::size_t r = 0; r < job.n_writers(); ++r)
-    threads.push_back(std::make_unique<RankThread>(shared, static_cast<core::Rank>(r), job));
+    threads.push_back(std::make_unique<RankThread>(shared, static_cast<core::Rank>(r)));
   // Prime SC schedules before any thread runs, then launch.
   for (auto& t : threads) t->prime();
   for (auto& t : threads) t->start();
   for (auto& t : threads) t->join();
   const auto t1 = std::chrono::steady_clock::now();
+  if (shared.error) std::rethrow_exception(shared.error);
 
   for (auto& f : shared.files) f->close();
 

@@ -1,9 +1,8 @@
 // Thread runtime: the adaptive IO protocol on real threads and real files.
 //
-// The same WriterFsm / SubCoordinatorFsm / CoordinatorFsm state machines
-// that drive the simulator run here on one std::thread per rank with
-// blocking mailboxes, writing actual bytes through POSIX files in a target
-// directory.  This validates two things the simulator cannot: that the
+// The same core::Roles protocol host that drives the simulator runs here
+// on one std::thread per rank with blocking mailboxes, writing actual bytes
+// through POSIX files in a target directory.  This validates two things the simulator cannot: that the
 // protocol logic is sound under true asynchrony, and that the produced
 // file set round-trips — data blocks land where the indices say they do.
 //
@@ -53,7 +52,8 @@ struct FileFooter {
 
 /// Runs one collective output operation and blocks until it completes.
 /// Writer `r`'s payload is `job.bytes_per_writer[r]` bytes of the repeating
-/// pattern byte `r & 0xFF`.
+/// pattern byte `r & 0xFF`.  The first exception thrown on any rank thread
+/// (including by `write_delay`) stops every rank and is rethrown here.
 ThreadRunResult run_threaded(const core::IoJob& job, const ThreadRunConfig& config);
 
 /// Reads a data file's footer + file index back (validation helper).

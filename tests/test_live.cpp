@@ -140,8 +140,6 @@ TEST(Live, CumulativeMatchesOfflineAnalyzer) {
 
 TEST(Live, WindowRollsOver) {
   obs::LivePlane::Config lc;
-  lc.window_slot_s = 1.0;
-  lc.window_slots = 4;
   lc.flight_records = 0;
   obs::LivePlane plane(lc);
 
@@ -180,21 +178,22 @@ TEST(Live, WindowRollsOver) {
   // The partition is exhaustive: components sum to the total.
   EXPECT_NEAR(w.mds_s + w.internal_s + w.external_s + w.network_s, w.total_s, 1e-12);
 
-  // A completion more than window_slots slots later evicts everything old:
-  // the window forgets, the cumulative totals do not.
-  obs::Record begin2 = rec(obs::Rec::kRunBegin, 9.0);
+  // A completion more than kWindowSlots slots (of kWindowSlotS = 1 s) later
+  // evicts everything old: the window forgets, the cumulative totals do not.
+  static_assert(2.0 + obs::LivePlane::kWindowSlots * obs::LivePlane::kWindowSlotS < 30.0);
+  obs::Record begin2 = rec(obs::Rec::kRunBegin, 30.0);
   begin2.u0 = 1;
   begin2.u1 = 1;
   begin2.u2 = 1;
   plane.ingest(begin2);
-  obs::Record open2 = rec(obs::Rec::kRunMark, 9.0);
+  obs::Record open2 = rec(obs::Rec::kRunMark, 30.0);
   open2.a = static_cast<std::uint8_t>(obs::Mark::kOpenDone);
   plane.ingest(open2);
-  writer(0, 9.1, 9.2, 10.0);
+  writer(0, 30.1, 30.2, 31.0);
 
   w = plane.window();
   EXPECT_EQ(w.writers, 1u);
-  EXPECT_NEAR(w.total_s, 0.2, 1e-12);  // 9.2 - 9.0, the new run's wait only
+  EXPECT_NEAR(w.total_s, 0.2, 1e-12);  // 30.2 - 30.0, the new run's wait only
   EXPECT_EQ(plane.cumulative().writers, 3u);
   EXPECT_NEAR(plane.cumulative().total_s, 0.5 + 0.7 + 0.2, 1e-12);
 }

@@ -5,8 +5,9 @@
 #include <memory>
 
 #include "core/protocol/coordinator_fsm.hpp"
+#include "core/protocol/roles.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_fsm.hpp"
+#include "core/protocol/writer_pool.hpp"
 
 namespace {
 
@@ -40,30 +41,42 @@ const SendAction* find_send_to(const Actions& actions, Rank to) {
   return nullptr;
 }
 
-WriterFsm::Config writer_cfg(Rank rank, GroupId group, double bytes) {
-  WriterFsm::Config c;
-  c.rank = rank;
-  c.group = group;
-  c.my_sc = sc_of_identity(group);
-  c.bytes = bytes;
-  c.blueprint.writer = rank;
+/// A one-writer pool: rank `rank` of group `group`, paying `bytes` (which
+/// must outlive the pool).
+WriterPool::Layout one_writer(Rank rank, GroupId group, const double& bytes) {
+  WriterPool::Layout layout;
+  layout.first_rank = rank;
+  layout.group_of = [group](Rank) { return group; };
+  layout.sc_of = sc_of_identity;
+  layout.bytes = std::span<const double>(&bytes, 1);
+  return layout;
+}
+
+LocalIndex one_block(Rank rank, double bytes) {
+  LocalIndex index;
+  index.writer = rank;
   BlockRecord b;
   b.writer = rank;
   b.var_id = 0;
   b.length = static_cast<std::uint64_t>(bytes);
-  c.blueprint.blocks.push_back(b);
-  c.sc_of = sc_of_identity;
-  return c;
+  index.blocks.push_back(b);
+  return index;
 }
 
-// --- WriterFsm ---------------------------------------------------------------
+WriterPool writer_pool(Rank rank, GroupId group, const double& bytes) {
+  return WriterPool(one_writer(rank, group, bytes),
+                    [&bytes](Rank r) { return one_block(r, bytes); });
+}
 
-TEST(WriterFsm, LocalWriteEmitsWriteThenReports) {
-  WriterFsm w(writer_cfg(11, 1, 1000.0));
-  EXPECT_EQ(w.state(), WriterFsm::State::Idle);
+// --- WriterPool --------------------------------------------------------------
 
-  const Actions a1 = w.on_do_write(DoWrite{1, 5000.0});
-  EXPECT_EQ(w.state(), WriterFsm::State::Writing);
+TEST(WriterPool, LocalWriteEmitsWriteThenReports) {
+  const double bytes = 1000.0;
+  WriterPool w = writer_pool(11, 1, bytes);
+  EXPECT_EQ(w.state(11), WriterPool::State::Idle);
+
+  const Actions a1 = w.on_do_write(11, DoWrite{1, 5000.0});
+  EXPECT_EQ(w.state(11), WriterPool::State::Writing);
   ASSERT_EQ(a1.size(), 1u);
   const auto* write = find_action<StartWriteAction>(a1);
   ASSERT_NE(write, nullptr);
@@ -72,13 +85,13 @@ TEST(WriterFsm, LocalWriteEmitsWriteThenReports) {
   EXPECT_DOUBLE_EQ(write->bytes, 1000.0);
 
   // Local index stamped with the assigned offset.
-  ASSERT_TRUE(w.local_index());
-  EXPECT_EQ(w.local_index()->file, 1);
-  EXPECT_EQ(w.local_index()->blocks[0].file_offset, 5000u);
-  EXPECT_FALSE(w.wrote_adaptively());
+  ASSERT_TRUE(w.local_index(11));
+  EXPECT_EQ(w.local_index(11)->file, 1);
+  EXPECT_EQ(w.local_index(11)->blocks[0].file_offset, 5000u);
+  EXPECT_FALSE(w.wrote_adaptively(11));
 
-  const Actions a2 = w.on_write_done();
-  EXPECT_EQ(w.state(), WriterFsm::State::Done);
+  const Actions a2 = w.on_write_done(11);
+  EXPECT_EQ(w.state(11), WriterPool::State::Done);
   // Local write: one WRITE_COMPLETE (to own SC), one INDEX_BODY, role done.
   const auto sends = find_all<SendAction>(a2);
   ASSERT_EQ(sends.size(), 2u);
@@ -95,11 +108,12 @@ TEST(WriterFsm, LocalWriteEmitsWriteThenReports) {
   EXPECT_NE(find_action<RoleDoneAction>(a2), nullptr);
 }
 
-TEST(WriterFsm, AdaptiveWriteNotifiesBothScs) {
-  WriterFsm w(writer_cfg(11, 1, 1000.0));
-  w.on_do_write(DoWrite{3, 0.0});  // redirected to group 3's file
-  EXPECT_TRUE(w.wrote_adaptively());
-  const Actions a = w.on_write_done();
+TEST(WriterPool, AdaptiveWriteNotifiesBothScs) {
+  const double bytes = 1000.0;
+  WriterPool w = writer_pool(11, 1, bytes);
+  w.on_do_write(11, DoWrite{3, 0.0});  // redirected to group 3's file
+  EXPECT_TRUE(w.wrote_adaptively(11));
+  const Actions a = w.on_write_done(11);
   const auto sends = find_all<SendAction>(a);
   ASSERT_EQ(sends.size(), 3u);
   EXPECT_EQ(sends[0]->to, sc_of_identity(1));  // triggering SC
@@ -110,24 +124,27 @@ TEST(WriterFsm, AdaptiveWriteNotifiesBothScs) {
   EXPECT_EQ(std::get<IndexBody>(sends[2]->msg.body).index->file, 3);
 }
 
-TEST(WriterFsm, DoubleDoWriteThrows) {
-  WriterFsm w(writer_cfg(1, 0, 10.0));
-  w.on_do_write(DoWrite{0, 0.0});
-  EXPECT_THROW(w.on_do_write(DoWrite{0, 0.0}), std::logic_error);
+TEST(WriterPool, DoubleDoWriteThrows) {
+  const double bytes = 10.0;
+  WriterPool w = writer_pool(1, 0, bytes);
+  w.on_do_write(1, DoWrite{0, 0.0});
+  EXPECT_THROW(w.on_do_write(1, DoWrite{0, 0.0}), std::logic_error);
 }
 
-TEST(WriterFsm, WriteDoneBeforeDoWriteThrows) {
-  WriterFsm w(writer_cfg(1, 0, 10.0));
-  EXPECT_THROW(w.on_write_done(), std::logic_error);
+TEST(WriterPool, WriteDoneBeforeDoWriteThrows) {
+  const double bytes = 10.0;
+  WriterPool w = writer_pool(1, 0, bytes);
+  EXPECT_THROW(w.on_write_done(1), std::logic_error);
 }
 
-TEST(WriterFsm, InvalidConfigThrows) {
-  WriterFsm::Config c = writer_cfg(1, 0, 10.0);
-  c.bytes = 0.0;
-  EXPECT_THROW(WriterFsm{c}, std::invalid_argument);
-  WriterFsm::Config c2 = writer_cfg(1, 0, 10.0);
-  c2.sc_of = nullptr;
-  EXPECT_THROW(WriterFsm{c2}, std::invalid_argument);
+TEST(WriterPool, InvalidConfigThrows) {
+  const auto blueprint = [](Rank r) { return one_block(r, 10.0); };
+  const double zero = 0.0;
+  EXPECT_THROW(WriterPool(one_writer(1, 0, zero), blueprint), std::invalid_argument);
+  const double bytes = 10.0;
+  WriterPool::Layout no_sc = one_writer(1, 0, bytes);
+  no_sc.sc_of = nullptr;
+  EXPECT_THROW(WriterPool(std::move(no_sc), blueprint), std::invalid_argument);
 }
 
 // --- SubCoordinatorFsm -------------------------------------------------------
@@ -522,6 +539,73 @@ TEST(CoordinatorFsm, MostRemainingSkipsBusyAndCompleteGroups) {
   sends = find_all<SendAction>(a);
   ASSERT_EQ(sends.size(), 1u);
   EXPECT_EQ(sends[0]->to, sc_of_identity(2));
+}
+
+// --- Roles -------------------------------------------------------------------
+
+/// Eight writers in two groups: SCs on ranks 0 and 4, the coordinator on 0.
+Roles eight_writer_roles(Roles::Config config = {}) {
+  return Roles(Topology(8, 2), std::vector<double>(8, 100.0),
+               [](Rank r) { return one_block(r, 100.0); }, config);
+}
+
+TEST(Roles, RoutesEachMessageToTheRoleItsRankHosts) {
+  Roles roles = eight_writer_roles(
+      {.steal_source = CoordinatorFsm::StealSource::MostRemaining, .retain_global_index = false});
+  EXPECT_EQ(roles.n_roles(), 8u + 2u + 1u);
+  EXPECT_EQ(roles.coordinator().config().steal_source,
+            CoordinatorFsm::StealSource::MostRemaining);
+  EXPECT_FALSE(roles.coordinator().config().retain_global_index);
+
+  // Group 1's SC (rank 4) signals its first writer, itself.
+  const Actions start = roles.start(1);
+  const auto* signal = find_send_to(start, 4);
+  ASSERT_NE(signal, nullptr);
+  const Actions write = roles.deliver(4, signal->msg);
+  const auto* data = find_action<StartWriteAction>(write);
+  ASSERT_NE(data, nullptr);
+  EXPECT_EQ(data->file, 1);
+
+  // The writer's WRITE_COMPLETE reaches the SC, which signals rank 5.
+  const Actions done = roles.write_done(4);
+  const auto* complete = find_send_to(done, 4);
+  ASSERT_NE(complete, nullptr);
+  ASSERT_TRUE(std::holds_alternative<WriteComplete>(complete->msg.body));
+  const Actions next = roles.deliver(4, complete->msg);
+  EXPECT_NE(find_send_to(next, 5), nullptr);
+  EXPECT_EQ(roles.sc(1).writers_remaining(), 3u);
+}
+
+TEST(Roles, MisroutedMessagesThrow) {
+  Roles roles = eight_writer_roles();
+  const Message index{1, IndexBody{std::make_shared<LocalIndex>(one_block(1, 100.0)), 0}};
+  const Message grant{0, AdaptiveWriteStart{1, 400.0, 1}};
+  const Message overall{0, OverallWriteComplete{4, 400.0}};
+  WriteComplete writer_done;
+  writer_done.writer = 1;
+  writer_done.origin_group = 0;
+  writer_done.file = 0;
+  writer_done.bytes = 100.0;
+  // SC-bound traffic to a rank that is not its group's SC.
+  EXPECT_THROW(roles.deliver(1, index), std::logic_error);
+  EXPECT_THROW(roles.deliver(5, grant), std::logic_error);
+  EXPECT_THROW(roles.deliver(3, overall), std::logic_error);
+  EXPECT_THROW(roles.deliver(2, Message{1, writer_done}), std::logic_error);
+  EXPECT_THROW(roles.index_write_done(6), std::logic_error);
+  // Coordinator-bound traffic to a rank other than the coordinator's, even
+  // one hosting an SC.
+  EXPECT_THROW(roles.deliver(4, Message{4, WritersBusy{1, 0}}), std::logic_error);
+  EXPECT_THROW(roles.deliver(4, Message{4, SubIndex{1, nullptr, 0}}), std::logic_error);
+  EXPECT_THROW(roles.deliver(4, Message{4, group_done(1, 400.0)}), std::logic_error);
+  // DO_WRITE outside the writer range.
+  EXPECT_THROW(roles.deliver(8, Message{0, DoWrite{0, 0.0}}), std::logic_error);
+  EXPECT_THROW(roles.deliver(-1, Message{0, DoWrite{0, 0.0}}), std::logic_error);
+
+  // A rejected message changes no role: the run still proceeds.
+  EXPECT_EQ(roles.sc(0).state(), SubCoordinatorFsm::State::Writing);
+  EXPECT_EQ(roles.coordinator().state(), CoordinatorFsm::State::Collecting);
+  const Actions write = roles.deliver(1, Message{0, DoWrite{0, 0.0}});
+  EXPECT_NE(find_action<StartWriteAction>(write), nullptr);
 }
 
 }  // namespace

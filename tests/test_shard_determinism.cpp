@@ -410,29 +410,59 @@ TEST(ShardPlan, WindowBatchOutsideRangeIsRejected) {
   }
 }
 
+/// Peak of the fs.fabric_active probe, sampled every millisecond on `eng`
+/// while `run` drives `fs` through seeded job 5.
+double fabric_active_peak(aio::sim::Engine& eng, aio::fs::FileSystem& fs,
+                          const std::function<void()>& run) {
+  aio::obs::Registry registry;
+  aio::obs::Sampler sampler(registry, 1e-3);
+  fs.register_probes(sampler);
+  std::function<void()> tick = [&] {
+    sampler.tick(eng.now());
+    eng.schedule_daemon_after(sampler.period(), [&] { tick(); });
+  };
+  eng.schedule_daemon_after(sampler.period(), [&] { tick(); });
+  run();
+  EXPECT_GT(sampler.ticks(), 1u);
+  double peak = 0.0;
+  for (const auto& [t, v] : registry.all_series().at("fs.fabric_active").samples())
+    peak = std::max(peak, v);
+  return peak;
+}
+
+double sharded_fabric_peak(double fabric_bw) {
+  auto cfg = rig_config(1);
+  cfg.fs.fabric_bw = fabric_bw;
+  ShardedAdaptiveSim sim(cfg);
+  return fabric_active_peak(sim.shards().engine(0), sim.fs(),
+                            [&] { (void)sim.run(seeded_job(5)); });
+}
+
+double classic_fabric_peak(double fabric_bw) {
+  auto cfg = rig_config(1);
+  cfg.fs.fabric_bw = fabric_bw;
+  aio::sim::Engine engine;
+  aio::fs::FileSystem fs(engine, cfg.fs);
+  aio::net::Network net(engine, cfg.net, cfg.n_ranks);
+  aio::core::AdaptiveTransport transport(fs, net, cfg.adaptive);
+  return fabric_active_peak(engine, fs, [&] {
+    transport.run(seeded_job(5), [](IoResult) {});
+    engine.run();
+  });
+}
+
 TEST(ShardedRun, FabricActiveProbeReadsTheGovernorCount) {
   // The rig's fabric (3 GB/s) is below 16 OSTs x 500 MB/s of ingest, so
   // the governor engages while the run writes.  The fs.fabric_active probe
   // reads governor 0, which every OST's activity transition reaches at the
   // next window boundary: sampled on shard 0's engine, it sees the targets
   // that are ingesting.
-  ShardedAdaptiveSim sim(rig_config(1));
-  aio::obs::Registry registry;
-  aio::obs::Sampler sampler(registry, 1e-3);
-  sim.fs().register_probes(sampler);
-  aio::sim::Engine& eng = sim.shards().engine(0);
-  std::function<void()> tick = [&] {
-    sampler.tick(eng.now());
-    eng.schedule_daemon_after(sampler.period(), [&] { tick(); });
-  };
-  eng.schedule_daemon_after(sampler.period(), [&] { tick(); });
-  (void)sim.run(seeded_job(5));
-  ASSERT_GT(sampler.ticks(), 1u);
-  double peak = 0.0;
-  for (const auto& [t, v] : registry.all_series().at("fs.fabric_active").samples())
-    peak = std::max(peak, v);
+  const double peak = sharded_fabric_peak(3e9);
   EXPECT_GT(peak, 0.0);
   EXPECT_LE(peak, static_cast<double>(kOsts));
+  // A disabled governor (fabric_bw = 0) hooks no OST on either engine, so
+  // the probe reads the same on both.
+  EXPECT_EQ(classic_fabric_peak(0.0), sharded_fabric_peak(0.0));
 }
 
 TEST(ShardedRun, WindowBatchAtTheCeilingRunsToCompletion) {

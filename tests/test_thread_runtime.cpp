@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 
 namespace {
 
@@ -129,6 +130,19 @@ TEST_F(ThreadRuntimeTest, InvalidConfigThrows) {
   ThreadRunConfig cfg;
   cfg.directory = dir_;
   EXPECT_THROW(run_threaded(empty, cfg), std::invalid_argument);
+}
+
+TEST_F(ThreadRuntimeTest, RankFailureStopsTheRunAndIsRethrown) {
+  // Rank 5's data write fails: every rank stops, no thread escapes with the
+  // exception, and run_threaded rethrows it.
+  ThreadRunConfig cfg;
+  cfg.directory = dir_;
+  cfg.n_files = 2;
+  cfg.write_delay = [](core::Rank r) -> double {
+    if (r == 5) throw std::runtime_error("injected write failure");
+    return 0.0;
+  };
+  EXPECT_THROW(run_threaded(IoJob::uniform(8, 1024.0), cfg), std::runtime_error);
 }
 
 TEST_F(ThreadRuntimeTest, FooterRejectsTruncatedFile) {

@@ -99,17 +99,6 @@ TEST(PosixTransport, CachedWritesFasterThanDurable) {
   EXPECT_NEAR(t_durable, 1.0, 0.05);  // 10 MB at 10 MB/s drain
 }
 
-TEST(PosixTransport, FlushAtEndWaitsForDrain) {
-  Rig rig(4);
-  PosixTransport::Config c;
-  c.flush_at_end = true;
-  PosixTransport t(rig.filesystem, c);
-  const IoResult r = rig.run(t, IoJob::uniform(4, 10e6));
-  // Data (cached, 0.1 s) plus drain to disk at 10 MB/s ~ 1 s.
-  EXPECT_NEAR(r.io_seconds(), 1.0, 0.1);
-  EXPECT_GT(r.t_complete, r.t_data_done);
-}
-
 TEST(PosixTransport, ImbalanceReflectsSlowOst) {
   Rig rig(4);
   rig.filesystem.ost(2).set_load(0.0, 0.75);  // one slow target
